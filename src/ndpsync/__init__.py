@@ -9,7 +9,7 @@ baselines on microbenchmarks and lock-based data structures.
 
 from .topology import SystemConfig, CoreId, master_se_of, resolve_core
 from .messages import Message, Opcode, OpClass, encode, decode, classify_opcode, CodecError
-from .sync_table import SynchronizationTable, STEntry, IndexingCounters, TableFull
+from .sync_table import SynchronizationTable, IndexingCounters, TableFull
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .sim import LatencyModel, EnergyModel, Stats
 from .cli import RunConfig, run_once
@@ -17,7 +17,7 @@ from .cli import RunConfig, run_once
 __all__ = [
     "SystemConfig", "CoreId", "master_se_of", "resolve_core",
     "Message", "Opcode", "OpClass", "encode", "decode", "classify_opcode", "CodecError",
-    "SynchronizationTable", "STEntry", "IndexingCounters", "TableFull",
+    "SynchronizationTable", "IndexingCounters", "TableFull",
     "ConfigError", "ProtocolError", "SimulationDeadlock",
     "LatencyModel", "EnergyModel", "Stats",
     "RunConfig", "run_once",

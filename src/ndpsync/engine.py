@@ -5,7 +5,7 @@ engine (schemes "syncron" and "flat"), the per-unit software server
 ("hier"), or the single global server ("central"). All schemes share the
 protocol logic below; they differ in routing (who receives core requests),
 backing store (fixed-capacity table with a memory fallback path versus an
-unbounded cache-modelled dict), and message cost, which the runtime层
+unbounded cache-modelled dict), and message cost, which the runtime
 charges.
 
 Hierarchical operation (syncron/hier): cores talk only to their local
@@ -23,12 +23,12 @@ broadcasts decrease_indexing_counter at quiescence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ProtocolError
-from .messages import Message, OpClass, Opcode, classify_opcode, pack_core, unpack_core
-from .sync_table import (GLOBAL_OWNER_FLAG, NO_OWNER, IndexingCounters,
-                         SynchronizationTable)
+from .messages import (Message, OpClass, Opcode, classify_opcode, core_id_bits, pack_core,
+                       unpack_core, wire_core_id)
+from .sync_table import IndexingCounters, SynchronizationTable
 from .topology import CoreId, SystemConfig, master_se_of, resolve_core, global_core_id
 
 # info value on a cond grant that wakes every parked waiter of a unit
@@ -72,18 +72,12 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-@dataclass
-class MemoryRecord:
-    """Memory-resident image of a variable serviced via the overflow path.
+def _next_waiting_unit(remote_ovf: dict, agg_units) -> int | None:
+    """Lowest unit id with an overflow waiter or an aggregated request.
 
-    One 64-byte line: per-unit waiting lists, a 64-bit info word and a
-    bit per unit marking engines that redirected requests here.
+    Callers serve that unit's overflow waiters before its aggregate.
     """
-
-    addr: int
-    wait_lists: list[int]
-    var_info: int = NO_OWNER
-    overflow_info: int = 0
+    return min([u for u, m in remote_ovf.items() if m] + list(agg_units), default=None)
 
 
 @dataclass
@@ -101,7 +95,6 @@ class VarMeta:
     # barrier
     arrivals: int = 0
     target: int = 0
-    one_level: bool = False
     # semaphore
     sem_count: int = 0
     sem_declared: int | None = None
@@ -122,15 +115,6 @@ class Output:
     table_events: list = field(default_factory=list)  # ("st_reserve"|"st_release", addr)
     overflowed: bool = False
 
-    @property
-    def wakeups(self):
-        """Cores whose blocking request completes with this service."""
-        done = []
-        for dst, m in self.sends:
-            if dst[0] == "core" and classify_opcode(m.opcode) in (OpClass.GRANT, OpClass.DEPART):
-                done.append(CoreId(dst[1], dst[2]))
-        return done
-
 
 class Coordinator:
     def __init__(self, cfg: SystemConfig, unit: int, server: bool):
@@ -143,10 +127,9 @@ class Coordinator:
         self.table = None if server else SynchronizationTable(cfg.st_entries)
         self.counters = None if server else IndexingCounters(cfg.index_counters)
         self.meta: dict[int, VarMeta] = {}
-        self.records: dict[int, MemoryRecord] = {}
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core key -> condvar being resumed
-        self.core_bits = max(1, (cfg.cores_per_unit - 1).bit_length())
+        self.core_bits = core_id_bits(cfg.cores_per_unit)
 
     # -- identity helpers ---------------------------------------------------
 
@@ -171,11 +154,6 @@ class Coordinator:
     def _core_from_key(self, key: int) -> CoreId:
         return resolve_core(self.cfg, key) if self.flat else CoreId(self.unit, key)
 
-    def _wire_core_id(self, core: CoreId) -> int:
-        if self.flat:
-            return pack_core(core.unit, core.local, self.core_bits)
-        return core.local
-
     # -- entry / record management -------------------------------------------
 
     def _get_or_reserve(self, addr: int, primitive: str, out: Output):
@@ -196,59 +174,15 @@ class Coordinator:
         return meta, True
 
     def _release_var(self, addr: int, meta: VarMeta, out: Output) -> None:
+        if meta.backing != "record" and (meta.locals or meta.remote_agg or meta.sem_demand):
+            raise ProtocolError(f"release of variable {addr:#x} with waiters pending")
         if meta.backing == "entry":
-            entry = self.table.lookup(addr)
-            entry.local_wait = 0
-            entry.global_wait = 0
             self.table.release(addr)
             out.table_events.append(("st_release", addr))
             del self.meta[addr]
         elif meta.backing == "server":
             del self.meta[addr]
         # record-backed state is dropped by the memory-path epilogue once quiescent
-
-    def _project_entry(self, addr: int, meta: VarMeta) -> None:
-        if meta.backing != "entry":
-            return
-        entry = self.table.lookup(addr)
-        if entry is None:
-            return
-        entry.local_wait = meta.locals
-        gw = meta.remote_agg
-        for u in meta.sem_demand:
-            gw |= 1 << u
-        entry.global_wait = gw
-        entry.table_info = self._info_word(addr, meta)
-
-    def _project_record(self, rec: MemoryRecord, meta: VarMeta) -> None:
-        all_ones = (1 << self.cfg.cores_per_unit) - 1
-        for u in range(self.cfg.num_units):
-            if meta.remote_agg >> u & 1 or u in meta.sem_demand:
-                rec.wait_lists[u] = all_ones
-            elif u == self.unit and not self.flat:
-                rec.wait_lists[u] = meta.locals
-            else:
-                rec.wait_lists[u] = meta.remote_ovf.get(u, 0)
-        if self.flat:
-            cpu = self.cfg.cores_per_unit
-            for u in range(self.cfg.num_units):
-                rec.wait_lists[u] |= (meta.locals >> (u * cpu)) & all_ones
-        rec.var_info = self._info_word(rec.addr, meta)
-        rec.overflow_info = meta.ovf_units
-
-    def _info_word(self, addr: int, meta: VarMeta) -> int:
-        if meta.primitive == LOCK:
-            if meta.owner is None:
-                return NO_OWNER
-            kind, who = meta.owner
-            if kind == "unit":
-                return GLOBAL_OWNER_FLAG | who
-            return self._key(who)
-        if meta.primitive == BARRIER:
-            return meta.arrivals
-        if meta.primitive == SEMAPHORE:
-            return meta.sem_count if self.is_master_for(addr) else meta.sem_credit
-        return meta.cond_lock
 
     # -- top-level dispatch ---------------------------------------------------
 
@@ -274,7 +208,7 @@ class Coordinator:
 
         if op is Opcode.COND_WAIT_LOCAL:
             # release the named lock on the caller's behalf before parking
-            rel = replace(msg, addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
+            rel = msg._replace(addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
             self._handle_inner(rel, src, out)
 
         if op is Opcode.LOCK_ACQUIRE_LOCAL and msg.info:
@@ -306,10 +240,6 @@ class Coordinator:
             return
 
         self._dispatch(msg, src, out)
-        if not self.server:
-            m = self.meta.get(addr)
-            if m is not None:
-                self._project_entry(addr, m)
         if self.server:
             # the lock line released by a cond wait is recorded by its own
             # inner dispatch, so one touch per dispatched message suffices
@@ -388,17 +318,12 @@ class Coordinator:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
             meta = VarMeta(primitive=_PRIMITIVE[_FAMILY[op]], backing="record")
             self.meta[addr] = meta
-            self.records[addr] = MemoryRecord(addr, [0] * self.cfg.num_units)
             self.counters.increment(addr)
         elif meta.backing == "entry":
             # migrate a live entry to memory: a remote engine overflowed first
-            entry = self.table.lookup(addr)
-            entry.local_wait = 0
-            entry.global_wait = 0
             self.table.release(addr)
             out.table_events.append(("st_release", addr))
             meta.backing = "record"
-            self.records[addr] = MemoryRecord(addr, [0] * self.cfg.num_units)
             self.counters.increment(addr)
 
         self._dispatch(msg, src, out)
@@ -410,10 +335,7 @@ class Coordinator:
             for u in _bits(meta.ovf_units):
                 out.sends.append((self._coord_node(u),
                                   Message(addr, Opcode.DECREASE_INDEXING_COUNTER, 0, 0)))
-            del self.records[addr]
             del self.meta[addr]
-        else:
-            self._project_record(self.records[addr], meta)
         out.mem_ops.append(("write", addr))
 
     def _quiesced(self, meta: VarMeta) -> bool:
@@ -540,9 +462,8 @@ class Coordinator:
         if meta.locals:
             self._grant_next_local(addr, meta, out)
             return
-        units = sorted(set(u for u, m in meta.remote_ovf.items() if m) | set(_bits(meta.remote_agg)))
-        if units:
-            u = units[0]
+        u = _next_waiting_unit(meta.remote_ovf, _bits(meta.remote_agg))
+        if u is not None:
             if meta.remote_ovf.get(u):
                 local = _low_bit(meta.remote_ovf[u])
                 meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
@@ -582,7 +503,6 @@ class Coordinator:
             if msg.info == self.cfg.total_clients:
                 meta.arrivals += cpu  # a whole unit arrived at once
             else:
-                meta.one_level = True
                 meta.arrivals += 1
             self._barrier_check(addr, meta, out)
             return
@@ -615,7 +535,6 @@ class Coordinator:
             return
 
         two_level = msg.info == self.cfg.total_clients
-        meta.one_level = not two_level
         if self.is_master_for(addr):
             meta.arrivals += 1
             self._barrier_check(addr, meta, out)
@@ -761,10 +680,9 @@ class Coordinator:
             out.sends.append((("core", core.unit, core.local),
                               Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
         while meta.sem_count > 0:
-            units = sorted(set(u for u, m in meta.remote_ovf.items() if m) | set(meta.sem_demand))
-            if not units:
+            u = _next_waiting_unit(meta.remote_ovf, meta.sem_demand)
+            if u is None:
                 break
-            u = units[0]
             if meta.remote_ovf.get(u):
                 local = _low_bit(meta.remote_ovf[u])
                 meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
@@ -871,10 +789,9 @@ class Coordinator:
             meta.locals &= meta.locals - 1
             self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
         else:
-            units = sorted(set(u for u, m in meta.remote_ovf.items() if m) | set(_bits(meta.remote_agg)))
-            if not units:
+            u = _next_waiting_unit(meta.remote_ovf, _bits(meta.remote_agg))
+            if u is None:
                 return  # lost signal
-            u = units[0]
             if meta.remote_ovf.get(u):
                 local = _low_bit(meta.remote_ovf[u])
                 meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
@@ -923,4 +840,5 @@ class Coordinator:
                                       pack_core(core.unit, core.local, self.core_bits), cv_addr)))
         else:
             out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL,
-                                        self._wire_core_id(core), cv_addr))
+                                        wire_core_id(self.cfg.scheme, core.unit, core.local,
+                                                     self.core_bits), cv_addr))

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MESSAGE_BYTES = 18
 
-_U64 = struct.Struct("<Q")
+_WIRE = struct.Struct("<QBBQ")
 
 
 class CodecError(ValueError):
@@ -149,40 +149,44 @@ def classify_opcode(op: Opcode) -> OpClass:
     return _CLASS[op]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     addr: int
     opcode: Opcode
     core_id: int
     info: int = 0
 
 
+# opcode by wire value; the values run 0..len(Opcode)-1 without gaps
+_OPCODES = tuple(Opcode)
+assert all(op == i for i, op in enumerate(_OPCODES))
+
+
 def encode(m: Message) -> bytes:
     """Serialize to the 18-byte wire format; rejects out-of-range fields."""
-    if not 0 <= m.addr < 1 << 64:
-        raise CodecError(f"addr {m.addr} does not fit in 64 bits")
-    if not 0 <= m.core_id < 64:
-        raise CodecError(f"core_id {m.core_id} does not fit in 6 bits")
-    if not 0 <= m.info < 1 << 64:
-        raise CodecError(f"info {m.info} does not fit in 64 bits")
-    op = Opcode(m.opcode)
-    return _U64.pack(m.addr) + bytes((int(op), m.core_id)) + _U64.pack(m.info)
+    addr, op, core_id, info = m
+    if not 0 <= addr < 1 << 64:
+        raise CodecError(f"addr {addr} does not fit in 64 bits")
+    if not 0 <= core_id < 64:
+        raise CodecError(f"core_id {core_id} does not fit in 6 bits")
+    if not 0 <= info < 1 << 64:
+        raise CodecError(f"info {info} does not fit in 64 bits")
+    if op not in Opcode._value2member_map_:
+        raise CodecError(f"unknown opcode {op!r}")
+    return _WIRE.pack(addr, op, core_id, info)
 
 
 def decode(raw: bytes) -> Message:
     """Parse an 18-byte wire message; raises CodecError on any malformation."""
     if len(raw) != MESSAGE_BYTES:
         raise CodecError(f"expected {MESSAGE_BYTES} bytes, got {len(raw)}")
-    addr = _U64.unpack_from(raw, 0)[0]
-    op_byte, core_byte = raw[8], raw[9]
+    addr, op_byte, core_byte, info = _WIRE.unpack(raw)
     if op_byte & 0xC0:
         raise CodecError(f"reserved opcode bits set: {op_byte:#04x}")
     if core_byte & 0xC0:
         raise CodecError(f"reserved core id bits set: {core_byte:#04x}")
-    if op_byte >= len(Opcode):
+    if op_byte >= len(_OPCODES):
         raise CodecError(f"unknown opcode {op_byte}")
-    info = _U64.unpack_from(raw, 10)[0]
-    return Message(addr=addr, opcode=Opcode(op_byte), core_id=core_byte, info=info)
+    return Message(addr, _OPCODES[op_byte], core_byte, info)
 
 
 def pack_core(unit: int, local: int, core_bits: int) -> int:
@@ -195,3 +199,19 @@ def pack_core(unit: int, local: int, core_bits: int) -> int:
 
 def unpack_core(packed: int, core_bits: int) -> tuple[int, int]:
     return packed >> core_bits, packed & ((1 << core_bits) - 1)
+
+
+def core_id_bits(cores_per_unit: int) -> int:
+    """Width of the local-core part of a packed {unit, core} id."""
+    return max(1, (cores_per_unit - 1).bit_length())
+
+
+def wire_core_id(scheme: str, unit: int, local: int, core_bits: int) -> int:
+    """Core id on a request from that core under `scheme`.
+
+    Under flat and central routing one coordinator serves cores of several
+    units, so the id packs {unit, core}; otherwise it is the local index.
+    """
+    if scheme in ("flat", "central"):
+        return pack_core(unit, local, core_bits)
+    return local

@@ -29,7 +29,7 @@ from .baselines import IdealOracle, ServerCache
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .messages import (MESSAGE_BYTES, Message, OpClass, Opcode,
-                       classify_opcode, encode, pack_core)
+                       classify_opcode, core_id_bits, encode, wire_core_id)
 from .topology import CoreId, SystemConfig, global_core_id, master_se_of
 
 CORE_CYCLE_PS = 400
@@ -57,6 +57,14 @@ L1_HIT_FJ = 23_000
 L1_MISS_FJ = 47_000
 
 _RANK = {"msg": 0, "compute": 1, "mem": 2, "service": 3}
+
+# blocked-request kind that each core-bound grant or departure completes
+_GRANT_KIND = {
+    Opcode.LOCK_GRANT_LOCAL: "lock",
+    Opcode.COND_GRANT_LOCAL: "cond",
+    Opcode.SEM_GRANT_LOCAL: "sem",
+    Opcode.BARRIER_DEPART_LOCAL: "barrier",
+}
 
 
 @dataclass
@@ -359,7 +367,7 @@ class Simulation:
         self.now = 0
         self._seq = 0
         self._heap: list = []
-        self._core_bits = max(1, (cfg.cores_per_unit - 1).bit_length())
+        self._core_bits = core_id_bits(cfg.cores_per_unit)
 
         programs = workload.programs()
         expected = set(cfg.clients())
@@ -455,8 +463,30 @@ class Simulation:
     # -- cores ----------------------------------------------------------------------
 
     def _advance(self, crt: _Core, t: int) -> None:
+        """Run the core until it blocks or finishes.
+
+        A core advanced with a blocking request pending has just been
+        granted it, by a grant message or by the ideal oracle.
+        """
         core = crt.core
         while True:
+            b = crt.blocked
+            if b is not None:
+                crt.blocked = None
+                kind = b[0]
+                if kind == "lock":
+                    self.stats.ops["lock_acquire"] += 1
+                    self._trace(t, "cs_enter", core.unit, core.local, b[1])
+                elif kind == "cond":
+                    self.stats.ops["cond_wait"] += 1
+                    self._trace(t, "cs_enter", core.unit, core.local, b[2])
+                    self._trace(t, "cond_wake", core.unit, core.local, b[1], b[2])
+                elif kind == "sem":
+                    self.stats.ops["sem_wait"] += 1
+                    self._trace(t, "sem_acquire", core.unit, core.local, b[1], b[2])
+                else:
+                    self.stats.ops["barrier_wait"] += 1
+                    self._trace(t, "barrier_depart", core.unit, core.local, b[1])
             try:
                 step = next(crt.gen)
             except StopIteration:
@@ -477,13 +507,8 @@ class Simulation:
                 self._trace(t, "mem_op", core.unit, core.local, addr, int(write))
                 self._sched(done, "mem", ("core", core.unit, core.local), core)
                 return
-            if self.oracle is not None:
-                if self._ideal_op(crt, step, t):
-                    continue
+            if not self._issue(crt, step, t):
                 return
-            if self._issue(crt, step, t):
-                continue
-            return
 
     def _dst_for(self, core: CoreId, addr: int):
         scheme = self.cfg.scheme
@@ -493,105 +518,103 @@ class Simulation:
             return ("coord", master_se_of(self.cfg, addr))
         return ("coord", core.unit)
 
-    def _wire_id(self, core: CoreId) -> int:
-        if self.cfg.scheme in ("flat", "central"):
-            return pack_core(core.unit, core.local, self._core_bits)
-        return core.local
-
     def _issue(self, crt: _Core, step, t: int) -> bool:
-        """Send one synchronization request; True if the core keeps running."""
+        """Issue one synchronization step; True if the core keeps running.
+
+        A blocking step sets crt.blocked. The ideal scheme hands each step to
+        the oracle, which may grant a blocking step at once; every other
+        scheme sends the request to the core's coordinator.
+        """
         core = crt.core
-        node = ("core", core.unit, core.local)
         kind = step[0]
         addr = step[1]
-        cid = self._wire_id(core)
+        o = self.oracle
+        info = 0
 
         if kind == "lock_acquire":
             crt.blocked = ("lock", addr)
-            self._send(node, self._dst_for(core, addr),
-                       Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, cid, 0), t)
-            return False
-        if kind == "lock_release":
+            if o is not None:
+                return o.lock_acquire(core, addr)
+            opc = Opcode.LOCK_ACQUIRE_LOCAL
+        elif kind == "lock_release":
             self.stats.ops["lock_release"] += 1
             self._trace(t, "cs_exit", core.unit, core.local, addr)
-            self._send(node, self._dst_for(core, addr),
-                       Message(addr, Opcode.LOCK_RELEASE_LOCAL, cid, 0), t)
-            return True
-        if kind == "barrier_wait":
-            _, addr, participants, within = step
-            opc = (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT if within
-                   else Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS)
+            if o is not None:
+                o.lock_release(core, addr)
+                return True
+            opc = Opcode.LOCK_RELEASE_LOCAL
+        elif kind == "barrier_wait":
+            _, addr, info, within = step
             crt.blocked = ("barrier", addr)
             self._trace(t, "barrier_arrive", core.unit, core.local, addr)
-            self._send(node, self._dst_for(core, addr), Message(addr, opc, cid, participants), t)
-            return False
-        if kind == "sem_wait":
-            _, addr, initial = step
-            crt.blocked = ("sem", addr, initial)
-            self._send(node, self._dst_for(core, addr),
-                       Message(addr, Opcode.SEM_WAIT_LOCAL, cid, initial), t)
-            return False
-        if kind == "sem_post":
+            if o is not None:
+                return o.barrier_wait(core, addr, info)
+            opc = (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT if within
+                   else Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS)
+        elif kind == "sem_wait":
+            _, addr, info = step
+            crt.blocked = ("sem", addr, info)
+            if o is not None:
+                return o.sem_wait(core, addr, info)
+            opc = Opcode.SEM_WAIT_LOCAL
+        elif kind == "sem_post":
             self.stats.ops["sem_post"] += 1
             self._trace(t, "sem_release", core.unit, core.local, addr)
-            self._send(node, self._dst_for(core, addr),
-                       Message(addr, Opcode.SEM_POST_LOCAL, cid, 0), t)
-            return True
-        if kind == "cond_wait":
-            _, addr, lock = step
-            crt.blocked = ("cond", addr, lock)
+            if o is not None:
+                o.sem_post(core, addr)
+                return True
+            opc = Opcode.SEM_POST_LOCAL
+        elif kind == "cond_wait":
+            _, addr, info = step
+            crt.blocked = ("cond", addr, info)
             self.stats.ops["lock_release"] += 1
-            self._trace(t, "cs_exit", core.unit, core.local, lock)
-            self._trace(t, "cond_sleep", core.unit, core.local, addr, lock)
-            self._send(node, self._dst_for(core, addr),
-                       Message(addr, Opcode.COND_WAIT_LOCAL, cid, lock), t)
-            return False
-        if kind in ("cond_signal", "cond_broadcast"):
+            self._trace(t, "cs_exit", core.unit, core.local, info)
+            self._trace(t, "cond_sleep", core.unit, core.local, addr, info)
+            if o is not None:
+                o.cond_wait(core, addr, info)
+                return False
+            opc = Opcode.COND_WAIT_LOCAL
+        elif kind == "cond_signal":
             self.stats.ops[kind] += 1
-            opc = Opcode.COND_SIGNAL_LOCAL if kind == "cond_signal" else Opcode.COND_BROAD_LOCAL
-            self._send(node, self._dst_for(core, addr), Message(addr, opc, cid, 0), t)
-            return True
-        raise ProtocolError(f"unknown workload step {kind!r}")
-
-    def _complete(self, crt: _Core, msg: Message, t: int) -> None:
-        """A grant/departure arrived for this core's blocking request."""
-        core = crt.core
-        b = crt.blocked
-        op = msg.opcode
-        if b is None:
-            raise ProtocolError(f"{op.name} delivered to idle core {core}")
-        if op is Opcode.LOCK_GRANT_LOCAL and b[0] == "lock" and b[1] == msg.addr:
-            self.stats.ops["lock_acquire"] += 1
-            self._trace(t, "cs_enter", core.unit, core.local, msg.addr)
-        elif op is Opcode.COND_GRANT_LOCAL and b[0] == "cond" and b[1] == msg.addr:
-            self.stats.ops["cond_wait"] += 1
-            self._trace(t, "cs_enter", core.unit, core.local, b[2])
-            self._trace(t, "cond_wake", core.unit, core.local, msg.addr, b[2])
-        elif op is Opcode.SEM_GRANT_LOCAL and b[0] == "sem" and b[1] == msg.addr:
-            self.stats.ops["sem_wait"] += 1
-            self._trace(t, "sem_acquire", core.unit, core.local, msg.addr, b[2])
-        elif op is Opcode.BARRIER_DEPART_LOCAL and b[0] == "barrier" and b[1] == msg.addr:
-            self.stats.ops["barrier_wait"] += 1
-            self._trace(t, "barrier_depart", core.unit, core.local, msg.addr)
+            if o is not None:
+                o.cond_signal(addr)
+                return True
+            opc = Opcode.COND_SIGNAL_LOCAL
+        elif kind == "cond_broadcast":
+            self.stats.ops[kind] += 1
+            if o is not None:
+                o.cond_broadcast(addr)
+                return True
+            opc = Opcode.COND_BROAD_LOCAL
         else:
-            raise ProtocolError(f"{op.name}({msg.addr:#x}) does not match pending {b} at {core}")
-        crt.blocked = None
-        self._advance(crt, t)
+            raise ProtocolError(f"unknown workload step {kind!r}")
+
+        cid = wire_core_id(self.cfg.scheme, core.unit, core.local, self._core_bits)
+        self._send(("core", core.unit, core.local), self._dst_for(core, addr),
+                   Message(addr, opc, cid, info), t)
+        return crt.blocked is None
 
     # -- coordinators --------------------------------------------------------------------
 
     def _on_msg(self, node, payload, t: int) -> None:
+        if node[0] == "coord":
+            msg = payload[0]
+            self._trace(t, "msg_recv", node[1], -1, msg.addr, msg.opcode.value)
+            self._enqueue(self.coords[node[1]], payload, t)
+            return
+        crt = self.cores[CoreId(node[1], node[2])]
         if payload[0] == "wake":
-            self._on_wake(self.cores[CoreId(node[1], node[2])], payload, t)
-            return
-        msg, src = payload
-        if node[0] == "core":
+            _, kind, addr = payload
+        else:
+            msg = payload[0]
             self._trace(t, "msg_recv", node[1], node[2], msg.addr, msg.opcode.value)
-            self._complete(self.cores[CoreId(node[1], node[2])], msg, t)
-            return
-        crt = self.coords[node[1]]
-        self._trace(t, "msg_recv", node[1], -1, msg.addr, msg.opcode.value)
-        self._enqueue(crt, (msg, src), t)
+            kind = _GRANT_KIND.get(msg.opcode)
+            addr = msg.addr
+        b = crt.blocked
+        if b is None or b[0] != kind or b[1] != addr:
+            what = f"wake {kind}" if payload[0] == "wake" else payload[0].opcode.name
+            raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {crt.core}")
+        self._advance(crt, t)
 
     def _enqueue(self, crt: _Coord, env, t: int) -> None:
         crt.inbox.append(env)
@@ -666,85 +689,9 @@ class Simulation:
     # -- ideal scheme ------------------------------------------------------------------------
 
     def _ideal_wake(self, core: CoreId, kind: str, addr: int, lock: int) -> None:
-        self._sched(self.now, "msg", ("core", core.unit, core.local),
-                    ("wake", kind, addr, lock))
+        """Oracle wake callback: the grant reaches the core as a message would.
 
-    def _ideal_op(self, crt: _Core, step, t: int) -> bool:
-        core = crt.core
-        kind = step[0]
-        o = self.oracle
-        if kind == "lock_acquire":
-            if o.lock_acquire(core, step[1]):
-                self.stats.ops["lock_acquire"] += 1
-                self._trace(t, "cs_enter", core.unit, core.local, step[1])
-                return True
-            crt.blocked = ("lock", step[1])
-            return False
-        if kind == "lock_release":
-            self.stats.ops["lock_release"] += 1
-            self._trace(t, "cs_exit", core.unit, core.local, step[1])
-            o.lock_release(core, step[1])
-            return True
-        if kind == "barrier_wait":
-            _, addr, participants, _within = step
-            self._trace(t, "barrier_arrive", core.unit, core.local, addr)
-            if o.barrier_wait(core, addr, participants):
-                self.stats.ops["barrier_wait"] += 1
-                self._trace(t, "barrier_depart", core.unit, core.local, addr)
-                return True
-            crt.blocked = ("barrier", addr)
-            return False
-        if kind == "sem_wait":
-            _, addr, initial = step
-            if o.sem_wait(core, addr, initial):
-                self.stats.ops["sem_wait"] += 1
-                self._trace(t, "sem_acquire", core.unit, core.local, addr, initial)
-                return True
-            crt.blocked = ("sem", addr, initial)
-            return False
-        if kind == "sem_post":
-            self.stats.ops["sem_post"] += 1
-            self._trace(t, "sem_release", core.unit, core.local, addr := step[1])
-            o.sem_post(core, addr)
-            return True
-        if kind == "cond_wait":
-            _, addr, lock = step
-            self.stats.ops["lock_release"] += 1
-            self._trace(t, "cs_exit", core.unit, core.local, lock)
-            self._trace(t, "cond_sleep", core.unit, core.local, addr, lock)
-            o.cond_wait(core, addr, lock)
-            crt.blocked = ("cond", addr, lock)
-            return False
-        if kind == "cond_signal":
-            self.stats.ops["cond_signal"] += 1
-            o.cond_signal(step[1])
-            return True
-        if kind == "cond_broadcast":
-            self.stats.ops["cond_broadcast"] += 1
-            o.cond_broadcast(step[1])
-            return True
-        raise ProtocolError(f"unknown workload step {kind!r}")
-
-    def _on_wake(self, crt: _Core, payload, t: int) -> None:
-        _, kind, addr, lock = payload
-        core = crt.core
-        b = crt.blocked
-        if b is None:
-            raise ProtocolError(f"wake delivered to idle core {core}")
-        if kind == "lock" and b[0] == "lock" and b[1] == addr:
-            self.stats.ops["lock_acquire"] += 1
-            self._trace(t, "cs_enter", core.unit, core.local, addr)
-        elif kind == "cond" and b[0] == "cond" and b[1] == addr:
-            self.stats.ops["cond_wait"] += 1
-            self._trace(t, "cs_enter", core.unit, core.local, lock)
-            self._trace(t, "cond_wake", core.unit, core.local, addr, lock)
-        elif kind == "sem" and b[0] == "sem" and b[1] == addr:
-            self.stats.ops["sem_wait"] += 1
-            self._trace(t, "sem_acquire", core.unit, core.local, addr, b[2])
-        elif kind == "barrier" and b[0] == "barrier" and b[1] == addr:
-            self.stats.ops["barrier_wait"] += 1
-            self._trace(t, "barrier_depart", core.unit, core.local, addr)
-        else:
-            raise ProtocolError(f"wake {kind}({addr:#x}) does not match pending {b} at {core}")
-        crt.blocked = None
-        self._advance(crt, t)
+        A cond wake's lock is the one the core named in its wait, which
+        crt.blocked already holds.
+        """
+        self._sched(self.now, "msg", ("core", core.unit, core.local), ("wake", kind, addr))

@@ -1,11 +1,13 @@
-"""Per-engine synchronization table and indexing counters.
+"""Per-engine synchronization table occupancy and indexing counters.
 
-The table holds the live coordination state for variables currently
-serviced in hardware: one entry per variable, bit lists for waiting
-units/cores, and a 64-bit info word. The indexing counters (one bank per
-engine, indexed by the low 8 address bits by default) mark variables that
-are currently serviced via memory instead; aliasing between addresses
-that share a counter index is allowed and affects performance only.
+The synchronization table bounds how many variables an engine services in
+hardware at once; SynchronizationTable allocates its entries and counts
+occupancy. The live coordination state of each variable is kept by the
+coordinator (engine.VarMeta), not in the table. The indexing counters (one
+bank per engine, indexed by the low 8 address bits by default) mark
+variables that are currently serviced via memory instead; aliasing between
+addresses that share a counter index is allowed and affects performance
+only.
 """
 
 from __future__ import annotations
@@ -14,79 +16,52 @@ from dataclasses import dataclass, field
 
 from .errors import ProtocolError
 
-# table_info lock-owner encoding: all-ones means no owner; a local core id
-# occupies the low bits; a unit (engine) id is flagged in the top bit.
-NO_OWNER = (1 << 64) - 1
-GLOBAL_OWNER_FLAG = 1 << 63
-
 
 class TableFull(Exception):
     """Reservation failed: every entry is occupied."""
 
 
-@dataclass
-class STEntry:
-    addr: int = 0
-    global_wait: int = 0  # bit per unit
-    local_wait: int = 0   # bit per core (local ids; flat routing uses global ids)
-    occupied: bool = False
-    table_info: int = NO_OWNER
-
-
 class SynchronizationTable:
-    """Fixed-capacity table; lowest-index free slot wins a reservation."""
+    """Fixed-capacity allocator of table entries, at most one per address.
+
+    In the modelled hardware each entry holds the variable's address, a
+    global waiting list (one bit per unit), a local waiting list (one bit
+    per core of the engine's unit) and a 64-bit info word: the lock owner
+    (all-ones when free, a local core id, or a unit id flagged in the top
+    bit), the barrier arrival count, the semaphore count or the condition
+    variable's lock address. The simulator keeps that state per variable in
+    the coordinator; the table decides only whether an entry is free.
+    """
 
     def __init__(self, entries: int):
         assert entries >= 1
-        self.entries = [STEntry() for _ in range(entries)]
-        self._by_addr: dict[int, int] = {}
-
-    @property
-    def capacity(self) -> int:
-        return len(self.entries)
+        self.capacity = entries
+        self._live: set[int] = set()
 
     @property
     def occupied_count(self) -> int:
-        return len(self._by_addr)
+        return len(self._live)
 
     def full(self) -> bool:
-        return len(self._by_addr) == len(self.entries)
+        return len(self._live) == self.capacity
 
-    def lookup(self, addr: int) -> STEntry | None:
-        idx = self._by_addr.get(addr)
-        return None if idx is None else self.entries[idx]
-
-    def reserve(self, addr: int) -> STEntry:
-        """Claim the lowest-index free entry for addr.
+    def reserve(self, addr: int) -> None:
+        """Claim an entry for addr.
 
         Raises TableFull when no entry is free and ProtocolError if addr
         already has one (at most one occupied entry per address).
         """
-        if addr in self._by_addr:
+        if addr in self._live:
             raise ProtocolError(f"duplicate table entry for addr {addr:#x}")
-        for idx, entry in enumerate(self.entries):
-            if not entry.occupied:
-                entry.addr = addr
-                entry.global_wait = 0
-                entry.local_wait = 0
-                entry.occupied = True
-                entry.table_info = NO_OWNER
-                self._by_addr[addr] = idx
-                return entry
-        raise TableFull(f"no free entry for addr {addr:#x}")
+        if len(self._live) == self.capacity:
+            raise TableFull(f"no free entry for addr {addr:#x}")
+        self._live.add(addr)
 
     def release(self, addr: int) -> None:
-        """Free the entry; the waiting lists must already be empty."""
-        idx = self._by_addr.get(addr)
-        if idx is None:
+        """Free addr's entry."""
+        if addr not in self._live:
             raise ProtocolError(f"release of absent table entry for addr {addr:#x}")
-        entry = self.entries[idx]
-        if entry.global_wait or entry.local_wait:
-            raise ProtocolError(f"release of entry {addr:#x} with waiters pending")
-        del self._by_addr[addr]
-        entry.occupied = False
-        entry.addr = 0
-        entry.table_info = NO_OWNER
+        self._live.remove(addr)
 
 
 @dataclass

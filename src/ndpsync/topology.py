@@ -43,9 +43,6 @@ class SystemConfig:
     scheme: str = "syncron"
     memory: str = "hbm"
     inbox_depth: int = 16
-    # Documented future extensions; activation is rejected.
-    enable_fairness_threshold: bool = False
-    enable_se_rmw: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -72,10 +69,6 @@ class SystemConfig:
             raise ConfigError("unit_mem_bytes must be >= 1")
         if self.inbox_depth < 1:
             raise ConfigError("inbox_depth must be >= 1")
-        if self.enable_fairness_threshold:
-            raise ConfigError("fairness threshold is documented future work; cannot be enabled")
-        if self.enable_se_rmw:
-            raise ConfigError("engine-side read-modify-write is documented future work; cannot be enabled")
 
     # -- derived quantities ------------------------------------------------
 

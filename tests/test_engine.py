@@ -1,6 +1,6 @@
 import pytest
 
-from ndpsync.engine import Coordinator
+from ndpsync.engine import Coordinator, Output
 from ndpsync.errors import ProtocolError
 from ndpsync.messages import Message, Opcode
 from ndpsync.sim import Simulation
@@ -165,6 +165,17 @@ def test_release_global_by_non_owner_rejected():
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
+
+
+@pytest.mark.parametrize("scheme", ["syncron", "hier"])
+def test_release_with_parked_waiter_rejected(scheme):
+    # a table- or server-backed variable must not be freed while a core waits on it
+    cfg = SystemConfig(num_units=1, cores_per_unit=3, scheme=scheme)
+    coord = Coordinator(cfg, 0, server=scheme == "hier")
+    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
+    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0), ("core", 0, 1))
+    with pytest.raises(ProtocolError):
+        coord._release_var(64, coord.meta[64], Output())
 
 
 def test_grant_goes_local_first_then_ascending_units():

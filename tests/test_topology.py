@@ -88,13 +88,6 @@ def test_validation_errors():
             SystemConfig(**kwargs)
 
 
-def test_future_extensions_rejected():
-    with pytest.raises(ConfigError):
-        SystemConfig(enable_fairness_threshold=True)
-    with pytest.raises(ConfigError):
-        SystemConfig(enable_se_rmw=True)
-
-
 def test_single_core_unit_client_allowed():
     cfg = SystemConfig(num_units=1, cores_per_unit=1, scheme="syncron")
     assert cfg.clients_per_unit == 1
