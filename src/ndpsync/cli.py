@@ -29,15 +29,38 @@ from .workloads import WORKLOAD_NAMES, make_workload
 
 SCHEMA_VERSION = 1
 
-CSV_COLUMNS = (
-    "run", "scheme", "workload", "units", "cores_per_unit", "st_entries",
-    "link_latency_ns", "memory", "seed", "time_ns", "completed_ops",
-    "throughput_ops_per_s", "messages_intra", "messages_inter",
-    "bytes_intra", "bytes_inter", "mem_local", "mem_remote", "mem_sync_var",
-    "energy_network_fj", "energy_memory_fj", "energy_cache_fj", "energy_total_fj",
-    "overflow_fraction", "st_max_occupancy", "counters_end_total",
-    "saturation_events", "max_inbox_depth", "digest",
-)
+# stats.csv columns after "run", each with its dotted key in stats_payload()
+_CSV_SOURCE = {
+    "scheme": "config.scheme",
+    "workload": "config.workload",
+    "units": "config.units",
+    "cores_per_unit": "config.cores_per_unit",
+    "st_entries": "config.st_entries",
+    "link_latency_ns": "config.link_latency_ns",  # csv writes None as ""
+    "memory": "config.memory",
+    "seed": "config.seed",
+    "time_ns": "stats.time_ns",
+    "completed_ops": "stats.workload.completed_ops",
+    "throughput_ops_per_s": "stats.workload.throughput_ops_per_s",
+    "messages_intra": "stats.messages.intra",
+    "messages_inter": "stats.messages.inter",
+    "bytes_intra": "stats.bytes.intra",
+    "bytes_inter": "stats.bytes.inter",
+    "mem_local": "stats.mem_accesses.local",
+    "mem_remote": "stats.mem_accesses.remote",
+    "mem_sync_var": "stats.mem_accesses.sync_var",
+    "energy_network_fj": "stats.energy_fj.network",
+    "energy_memory_fj": "stats.energy_fj.memory",
+    "energy_cache_fj": "stats.energy_fj.cache",
+    "energy_total_fj": "stats.energy_fj.total",
+    "overflow_fraction": "stats.sync_table.overflow_fraction",
+    "st_max_occupancy": "stats.sync_table.max_occupancy",  # per unit; the row keeps the max
+    "counters_end_total": "stats.sync_table.counters_end_total",
+    "saturation_events": "stats.network.saturation_events",
+    "max_inbox_depth": "stats.network.max_inbox_depth",
+    "digest": "stats.workload.digest",
+}
+CSV_COLUMNS = ("run", *_CSV_SOURCE)
 
 # sweepable key -> value parser
 _SWEEP_KEYS = {
@@ -124,39 +147,23 @@ def stats_payload(rc: RunConfig, stats: Stats) -> dict:
     return {"config": rc.to_dict(), "stats": stats.to_dict()}
 
 
+def _flatten(d: dict, prefix: str = "") -> dict:
+    """Nested dict to one level, keys joined with dots."""
+    flat = {}
+    for key, value in d.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
 def csv_row(index: int, rc: RunConfig, stats: Stats) -> dict:
-    return {
-        "run": index,
-        "scheme": rc.scheme,
-        "workload": rc.workload,
-        "units": rc.units,
-        "cores_per_unit": rc.cores_per_unit,
-        "st_entries": rc.st_entries,
-        "link_latency_ns": "" if rc.link_latency_ns is None else rc.link_latency_ns,
-        "memory": rc.memory,
-        "seed": rc.seed,
-        "time_ns": stats.time_ps / 1000.0,
-        "completed_ops": stats.completed_ops,
-        "throughput_ops_per_s": stats.throughput_ops_per_s,
-        "messages_intra": stats.messages_intra,
-        "messages_inter": stats.messages_inter,
-        "bytes_intra": stats.bytes_intra,
-        "bytes_inter": stats.bytes_inter,
-        "mem_local": stats.mem_local,
-        "mem_remote": stats.mem_remote,
-        "mem_sync_var": stats.mem_sync_var,
-        "energy_network_fj": stats.energy_network_fj,
-        "energy_memory_fj": stats.energy_memory_fj,
-        "energy_cache_fj": stats.energy_cache_fj,
-        "energy_total_fj": (stats.energy_network_fj + stats.energy_memory_fj
-                            + stats.energy_cache_fj),
-        "overflow_fraction": stats.overflow_fraction,
-        "st_max_occupancy": max(stats.st_max_occupancy, default=0.0),
-        "counters_end_total": stats.counters_end_total,
-        "saturation_events": stats.saturation_events,
-        "max_inbox_depth": stats.max_inbox_depth,
-        "digest": stats.digest,
-    }
+    flat = _flatten(stats_payload(rc, stats))
+    row = {"run": index}
+    row.update((col, flat[key]) for col, key in _CSV_SOURCE.items())
+    row["st_max_occupancy"] = max(row["st_max_occupancy"], default=0.0)
+    return row
 
 
 # -- configuration file -----------------------------------------------------------
@@ -281,6 +288,8 @@ def main(argv=None) -> int:
             if value is not None:
                 setattr(base, attr, value)
         runs = expand_runs(base, parse_sweeps(args.sweep))
+        for rc in runs:  # a bad system shape anywhere in a sweep fails before any run
+            rc.system_config()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError
-from .messages import (Message, OpClass, Opcode, classify_opcode, core_id_bits, pack_core,
-                       unpack_core, wire_core_id)
+from .messages import (_CLASS, SYNC_REQUESTS, Message, OpClass, Opcode, core_id_bits,
+                       pack_core, unpack_core, wire_core_id)
 from .sync_table import IndexingCounters, SynchronizationTable
 from .topology import CoreId, SystemConfig, master_se_of, resolve_core, global_core_id
 
@@ -59,6 +59,12 @@ _OVERFLOW_FORM = {
 
 _PRIMITIVE = {"lock": LOCK, "barrier": BARRIER, "sem": SEMAPHORE, "cond": CONDVAR}
 
+# condvar signals and broadcasts: with nothing parked anywhere they are lost
+_COND_SIGNALS = frozenset(op for op in Opcode if _FAMILY[op] == "cond"
+                          and _CLASS[op] in (OpClass.RELEASE, OpClass.OVERFLOW_RELEASE))
+_LOCK_RELEASES = frozenset((Opcode.LOCK_RELEASE_LOCAL, Opcode.LOCK_RELEASE_GLOBAL,
+                            Opcode.LOCK_RELEASE_OVERFLOW))
+
 
 def _low_bit(mask: int) -> int:
     assert mask
@@ -80,7 +86,7 @@ def _next_waiting_unit(remote_ovf: dict, agg_units) -> int | None:
     return min([u for u, m in remote_ovf.items() if m] + list(agg_units), default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class VarMeta:
     """Live coordination state for one variable at one coordinator."""
 
@@ -104,16 +110,18 @@ class VarMeta:
     cond_lock: int = 0
 
 
-@dataclass
 class Output:
     """Everything one handled message produced; the runtime charges costs."""
 
-    sends: list = field(default_factory=list)      # (dst node, Message)
-    internal: list = field(default_factory=list)   # self-injected requests (condvar resume)
-    mem_ops: list = field(default_factory=list)    # ("read"|"write", addr) on the record line
-    touches: list = field(default_factory=list)    # variable lines a server accessed
-    table_events: list = field(default_factory=list)  # ("st_reserve"|"st_release", addr)
-    overflowed: bool = False
+    __slots__ = ("sends", "internal", "mem_ops", "touches", "table_events", "overflowed")
+
+    def __init__(self):
+        self.sends = []         # (dst node, Message)
+        self.internal = []      # self-injected requests (condvar resume)
+        self.mem_ops = []       # ("read"|"write", addr) on the record line
+        self.touches = []       # variable lines a server accessed
+        self.table_events = []  # ("st_reserve"|"st_release", addr)
+        self.overflowed = False
 
 
 class Coordinator:
@@ -130,6 +138,7 @@ class Coordinator:
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core key -> condvar being resumed
         self.core_bits = core_id_bits(cfg.cores_per_unit)
+        self._cores: dict[int, CoreId] = {}  # this unit's cores by local id, made on first use
 
     # -- identity helpers ---------------------------------------------------
 
@@ -142,17 +151,25 @@ class Coordinator:
     def _coord_node(self, unit: int):
         return ("coord", 0) if self.central else ("coord", unit)
 
+    def _local_core(self, local: int) -> CoreId:
+        core = self._cores.get(local)
+        if core is None:
+            if not 0 <= local < self.cfg.cores_per_unit:
+                raise ProtocolError(f"core id {local} outside unit {self.unit}")
+            core = self._cores[local] = CoreId(self.unit, local)
+        return core
+
     def _sender_core(self, msg: Message) -> CoreId:
         if self.flat:
             unit, local = unpack_core(msg.core_id, self.core_bits)
             return CoreId(unit, local)
-        return CoreId(self.unit, msg.core_id)
+        return self._local_core(msg.core_id)
 
     def _key(self, core: CoreId) -> int:
         return global_core_id(self.cfg, core) if self.flat else core.local
 
     def _core_from_key(self, key: int) -> CoreId:
-        return resolve_core(self.cfg, key) if self.flat else CoreId(self.unit, key)
+        return resolve_core(self.cfg, key) if self.flat else self._local_core(key)
 
     # -- entry / record management -------------------------------------------
 
@@ -188,40 +205,30 @@ class Coordinator:
 
     def handle(self, msg: Message, src) -> Output:
         out = Output()
-        op = msg.opcode
-        cls = classify_opcode(op)
+        _ROUTE[msg.opcode](self, msg, src, out)
+        return out
 
-        if op is Opcode.DECREASE_INDEXING_COUNTER:
-            self._on_decrease(msg.addr)
-            return out
+    def _overflow_request(self, msg: Message, src, out: Output) -> None:
+        if self.server or not self.is_master_for(msg.addr):
+            raise ProtocolError(f"{msg.opcode.name} delivered to a non-master coordinator")
+        out.overflowed = True
+        self._memory_path(msg, src, out)
 
-        if cls in (OpClass.OVERFLOW_ACQUIRE, OpClass.OVERFLOW_RELEASE):
-            if self.server or not self.is_master_for(msg.addr):
-                raise ProtocolError(f"{op.name} delivered to a non-master coordinator")
-            out.overflowed = True
-            self._memory_path(msg, src, out)
-            return out
+    def _cond_wait_request(self, msg: Message, src, out: Output) -> None:
+        # release the named lock on the caller's behalf before parking
+        rel = msg._replace(addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
+        self._handle_inner(rel, src, out)
+        self._handle_inner(msg, src, out)
 
-        if cls is OpClass.OVERFLOW_GRANT:
-            self._deliver_overflow_wake(msg, out)
-            return out
-
-        if op is Opcode.COND_WAIT_LOCAL:
-            # release the named lock on the caller's behalf before parking
-            rel = msg._replace(addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
-            self._handle_inner(rel, src, out)
-
-        if op is Opcode.LOCK_ACQUIRE_LOCAL and msg.info:
+    def _lock_acquire_request(self, msg: Message, src, out: Output) -> None:
+        if msg.info:
             # lock re-acquisition for a condvar waiter: the grant must wake
             # the condvar wait, not a plain acquire
             self.cond_resume[self._key(self._sender_core(msg))] = msg.info
-
         self._handle_inner(msg, src, out)
-        return out
 
     def _handle_inner(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        cls = classify_opcode(msg.opcode)
         meta = self.meta.get(addr)
 
         if meta is not None and meta.backing == "record":
@@ -230,7 +237,7 @@ class Coordinator:
             return
 
         if (meta is None and not self.server
-                and cls in (OpClass.ACQUIRE, OpClass.RELEASE)
+                and msg.opcode in SYNC_REQUESTS
                 and (self.table.full() or self.counters.get(addr) > 0)):
             out.overflowed = True
             if self.is_master_for(addr):
@@ -239,24 +246,14 @@ class Coordinator:
                 self._redirect(msg, out)
             return
 
-        self._dispatch(msg, src, out)
+        _HANDLER[msg.opcode](self, msg, src, out)
         if self.server:
             # the lock line released by a cond wait is recorded by its own
             # inner dispatch, so one touch per dispatched message suffices
             out.touches.append(addr)
 
-    def _dispatch(self, msg: Message, src, out: Output) -> None:
-        fam = _FAMILY[msg.opcode]
-        if fam == "lock":
-            self._on_lock(msg, src, out)
-        elif fam == "barrier":
-            self._on_barrier(msg, src, out)
-        elif fam == "sem":
-            self._on_sem(msg, src, out)
-        elif fam == "cond":
-            self._on_cond(msg, src, out)
-        else:  # pragma: no cover
-            raise ProtocolError(f"unroutable opcode {msg.opcode.name}")
+    def _not_served(self, msg: Message, src, out: Output) -> None:
+        raise ProtocolError(f"opcode {msg.opcode.name} not valid at a coordinator")
 
     # -- overflow path ---------------------------------------------------------
 
@@ -264,7 +261,7 @@ class Coordinator:
         """Non-master with no table room: forward to the master via memory."""
         core = self._sender_core(msg)
         packed = pack_core(core.unit, core.local, self.core_bits)
-        if classify_opcode(msg.opcode) is OpClass.ACQUIRE:
+        if _CLASS[msg.opcode] is OpClass.ACQUIRE:
             if msg.addr not in self.enrolled:
                 self.enrolled[msg.addr] = 0
                 self.counters.increment(msg.addr)
@@ -273,7 +270,8 @@ class Coordinator:
         dst = self._coord_node(master_se_of(self.cfg, msg.addr))
         out.sends.append((dst, Message(msg.addr, ovf, packed, msg.info)))
 
-    def _on_decrease(self, addr: int) -> None:
+    def _on_decrease(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
         n = self.enrolled.get(addr)
         if n is None:
             raise ProtocolError(f"decrease_indexing_counter for unenrolled variable {addr:#x}")
@@ -283,7 +281,7 @@ class Coordinator:
         del self.enrolled[addr]
         self.counters.decrement(addr)
 
-    def _deliver_overflow_wake(self, msg: Message, out: Output) -> None:
+    def _deliver_overflow_wake(self, msg: Message, src, out: Output) -> None:
         unit, local = unpack_core(msg.core_id, self.core_bits)
         if unit != self.unit:
             raise ProtocolError(f"{msg.opcode.name} routed to unit {self.unit} for core of unit {unit}")
@@ -312,9 +310,9 @@ class Coordinator:
         meta = self.meta.get(addr)
         out.mem_ops.append(("read", addr))
         if meta is None:
-            if _FAMILY[op] == "cond" and classify_opcode(op) in (OpClass.RELEASE, OpClass.OVERFLOW_RELEASE):
+            if op in _COND_SIGNALS:
                 return  # lost signal: nothing parked anywhere
-            if op in (Opcode.LOCK_RELEASE_LOCAL, Opcode.LOCK_RELEASE_GLOBAL, Opcode.LOCK_RELEASE_OVERFLOW):
+            if op in _LOCK_RELEASES:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
             meta = VarMeta(primitive=_PRIMITIVE[_FAMILY[op]], backing="record")
             self.meta[addr] = meta
@@ -326,7 +324,7 @@ class Coordinator:
             meta.backing = "record"
             self.counters.increment(addr)
 
-        self._dispatch(msg, src, out)
+        _HANDLER[op](self, msg, src, out)
 
         meta = self.meta.get(addr)
         assert meta is not None and meta.backing == "record"
@@ -360,94 +358,94 @@ class Coordinator:
             # waking a condvar waiter: the grant carries the condvar, lock in info
             out.sends.append((node, Message(tag, Opcode.COND_GRANT_LOCAL, core.local, addr)))
 
-    def _on_lock(self, msg: Message, src, out: Output) -> None:
+    def _lock_acquire_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        op = msg.opcode
-
-        if op is Opcode.LOCK_ACQUIRE_LOCAL:
-            core = self._sender_core(msg)
-            meta, fresh = self._get_or_reserve(addr, LOCK, out)
-            if self.is_master_for(addr):
-                if meta.owner is None:
-                    assert not meta.locals and not meta.remote_agg and not any(meta.remote_ovf.values())
-                    meta.owner = ("core", core)
-                    self._grant_lock_to_core(addr, core, out)
-                else:
-                    meta.locals |= 1 << self._key(core)
+        core = self._sender_core(msg)
+        meta, fresh = self._get_or_reserve(addr, LOCK, out)
+        if self.is_master_for(addr):
+            if meta.owner is None:
+                assert not meta.locals and not meta.remote_agg and not any(meta.remote_ovf.values())
+                meta.owner = ("core", core)
+                self._grant_lock_to_core(addr, core, out)
             else:
                 meta.locals |= 1 << self._key(core)
-                if fresh:
-                    meta.pending_global = True
-                    out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                      Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, self.unit, 0)))
-                else:
-                    assert meta.pending_global or meta.owner is not None
-
-        elif op is Opcode.LOCK_ACQUIRE_GLOBAL:
-            s = src[1]
-            meta, _ = self._get_or_reserve(addr, LOCK, out)
-            if meta.owner is None:
-                assert not meta.locals and not meta.remote_agg
-                meta.owner = ("unit", s)
-                out.sends.append((self._coord_node(s),
-                                  Message(addr, Opcode.LOCK_GRANT_GLOBAL, self.unit, 0)))
+        else:
+            meta.locals |= 1 << self._key(core)
+            if fresh:
+                meta.pending_global = True
+                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                                  Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, self.unit, 0)))
             else:
-                meta.remote_agg |= 1 << s
+                assert meta.pending_global or meta.owner is not None
 
-        elif op is Opcode.LOCK_ACQUIRE_OVERFLOW:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            core = CoreId(unit, local)
-            meta = self.meta[addr]
-            meta.ovf_units |= 1 << unit
-            if meta.owner is None:
-                meta.owner = ("core", core)
-                out.sends.append((self._coord_node(unit),
-                                  Message(addr, Opcode.LOCK_GRANT_OVERFLOW, msg.core_id, 0)))
-            else:
-                meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+    def _lock_acquire_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        s = src[1]
+        meta, _ = self._get_or_reserve(addr, LOCK, out)
+        if meta.owner is None:
+            assert not meta.locals and not meta.remote_agg
+            meta.owner = ("unit", s)
+            out.sends.append((self._coord_node(s),
+                              Message(addr, Opcode.LOCK_GRANT_GLOBAL, self.unit, 0)))
+        else:
+            meta.remote_agg |= 1 << s
 
-        elif op is Opcode.LOCK_RELEASE_LOCAL:
-            core = self._sender_core(msg)
-            meta = self.meta.get(addr)
-            if meta is None or meta.owner != ("core", core):
-                raise ProtocolError(f"lock {addr:#x} released by non-owner core {core}")
-            if self.is_master_for(addr):
-                self._lock_next(addr, meta, out)
-            else:
-                meta.owner = None
-                if meta.locals:
-                    self._grant_next_local(addr, meta, out)
-                else:
-                    # one aggregated release covers every local handoff
-                    out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                      Message(addr, Opcode.LOCK_RELEASE_GLOBAL, self.unit, 0)))
-                    self._release_var(addr, meta, out)
+    def _lock_acquire_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        unit, local = unpack_core(msg.core_id, self.core_bits)
+        core = CoreId(unit, local)
+        meta = self.meta[addr]
+        meta.ovf_units |= 1 << unit
+        if meta.owner is None:
+            meta.owner = ("core", core)
+            out.sends.append((self._coord_node(unit),
+                              Message(addr, Opcode.LOCK_GRANT_OVERFLOW, msg.core_id, 0)))
+        else:
+            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
 
-        elif op is Opcode.LOCK_RELEASE_GLOBAL:
-            s = src[1]
-            meta = self.meta.get(addr)
-            if meta is None or meta.owner != ("unit", s):
-                raise ProtocolError(f"lock {addr:#x} released by non-owner unit {s}")
+    def _lock_release_local(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        core = self._sender_core(msg)
+        meta = self.meta.get(addr)
+        if meta is None or meta.owner != ("core", core):
+            raise ProtocolError(f"lock {addr:#x} released by non-owner core {core}")
+        if self.is_master_for(addr):
             self._lock_next(addr, meta, out)
+        else:
+            meta.owner = None
+            if meta.locals:
+                self._grant_next_local(addr, meta, out)
+            else:
+                # one aggregated release covers every local handoff
+                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                                  Message(addr, Opcode.LOCK_RELEASE_GLOBAL, self.unit, 0)))
+                self._release_var(addr, meta, out)
 
-        elif op is Opcode.LOCK_RELEASE_OVERFLOW:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            core = CoreId(unit, local)
-            meta = self.meta.get(addr)
-            if meta is None or meta.owner != ("core", core):
-                raise ProtocolError(f"lock {addr:#x} released by non-owner overflow core {core}")
-            self._lock_next(addr, meta, out)
+    def _lock_release_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        s = src[1]
+        meta = self.meta.get(addr)
+        if meta is None or meta.owner != ("unit", s):
+            raise ProtocolError(f"lock {addr:#x} released by non-owner unit {s}")
+        self._lock_next(addr, meta, out)
 
-        elif op is Opcode.LOCK_GRANT_GLOBAL:
-            meta = self.meta.get(addr)
-            if meta is None or not meta.pending_global:
-                raise ProtocolError(f"unsolicited lock grant for {addr:#x}")
-            meta.pending_global = False
-            assert meta.locals, "token granted with no local waiters"
-            self._grant_next_local(addr, meta, out)
+    def _lock_release_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        unit, local = unpack_core(msg.core_id, self.core_bits)
+        core = CoreId(unit, local)
+        meta = self.meta.get(addr)
+        if meta is None or meta.owner != ("core", core):
+            raise ProtocolError(f"lock {addr:#x} released by non-owner overflow core {core}")
+        self._lock_next(addr, meta, out)
 
-        else:  # pragma: no cover
-            raise ProtocolError(f"lock opcode {op.name} not valid at a coordinator")
+    def _lock_grant_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        meta = self.meta.get(addr)
+        if meta is None or not meta.pending_global:
+            raise ProtocolError(f"unsolicited lock grant for {addr:#x}")
+        meta.pending_global = False
+        assert meta.locals, "token granted with no local waiters"
+        self._grant_next_local(addr, meta, out)
 
     def _grant_next_local(self, addr: int, meta: VarMeta, out: Output) -> None:
         key = _low_bit(meta.locals)
@@ -482,41 +480,38 @@ class Coordinator:
 
     # -- barriers ------------------------------------------------------------------
 
-    def _on_barrier(self, msg: Message, src, out: Output) -> None:
+    def _barrier_depart_global(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        op = msg.opcode
-        cpu = self.cfg.clients_per_unit
+        meta = self.meta.get(addr)
+        if meta is None:
+            raise ProtocolError(f"barrier departure for unknown variable {addr:#x}")
+        self._barrier_depart_locals(addr, meta, out)
+        self._release_var(addr, meta, out)
 
-        if op is Opcode.BARRIER_DEPART_GLOBAL:
-            meta = self.meta.get(addr)
-            if meta is None:
-                raise ProtocolError(f"barrier departure for unknown variable {addr:#x}")
-            self._barrier_depart_locals(addr, meta, out)
-            self._release_var(addr, meta, out)
-            return
-
-        if op is Opcode.BARRIER_WAIT_GLOBAL:
-            s = src[1]
-            meta, _ = self._get_or_reserve(addr, BARRIER, out)
-            self._barrier_target(meta, msg.info)
-            meta.remote_agg |= 1 << s
-            if msg.info == self.cfg.total_clients:
-                meta.arrivals += cpu  # a whole unit arrived at once
-            else:
-                meta.arrivals += 1
-            self._barrier_check(addr, meta, out)
-            return
-
-        if op is Opcode.BARRIER_WAIT_OVERFLOW:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            meta = self.meta[addr]
-            self._barrier_target(meta, msg.info)
-            meta.ovf_units |= 1 << unit
-            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+    def _barrier_wait_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        s = src[1]
+        meta, _ = self._get_or_reserve(addr, BARRIER, out)
+        self._barrier_target(meta, msg.info)
+        meta.remote_agg |= 1 << s
+        if msg.info == self.cfg.total_clients:
+            meta.arrivals += self.cfg.clients_per_unit  # a whole unit arrived at once
+        else:
             meta.arrivals += 1
-            self._barrier_check(addr, meta, out)
-            return
+        self._barrier_check(addr, meta, out)
 
+    def _barrier_wait_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        unit, local = unpack_core(msg.core_id, self.core_bits)
+        meta = self.meta[addr]
+        self._barrier_target(meta, msg.info)
+        meta.ovf_units |= 1 << unit
+        meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+        meta.arrivals += 1
+        self._barrier_check(addr, meta, out)
+
+    def _barrier_wait_local(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
         core = self._sender_core(msg)
         meta, _ = self._get_or_reserve(addr, BARRIER, out)
         self._barrier_target(meta, msg.info)
@@ -525,7 +520,7 @@ class Coordinator:
             raise ProtocolError(f"core {core} arrived twice at barrier {addr:#x}")
         meta.locals |= 1 << key
 
-        single_point = self.flat or op is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
+        single_point = self.flat or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
         if single_point:
             meta.arrivals += 1
             if meta.arrivals == meta.target:
@@ -540,7 +535,7 @@ class Coordinator:
             self._barrier_check(addr, meta, out)
         elif two_level:
             # announce once the whole unit has arrived
-            if bin(meta.locals).count("1") == cpu:
+            if bin(meta.locals).count("1") == self.cfg.clients_per_unit:
                 out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
                                   Message(addr, Opcode.BARRIER_WAIT_GLOBAL, self.unit, msg.info)))
         else:
@@ -588,88 +583,88 @@ class Coordinator:
             raise ProtocolError(
                 f"semaphore initial resources re-declared: {meta.sem_declared} vs {initial}")
 
-    def _on_sem(self, msg: Message, src, out: Output) -> None:
+    def _sem_wait_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        op = msg.opcode
-
-        if op is Opcode.SEM_WAIT_LOCAL:
-            core = self._sender_core(msg)
-            meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-            if self.is_master_for(addr):
-                self._sem_declare(meta, msg.info)
-                if meta.sem_count > 0:
-                    meta.sem_count -= 1
-                    out.sends.append((("core", core.unit, core.local),
-                                      Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
-                else:
-                    meta.locals |= 1 << self._key(core)
-                self._sem_try_release(addr, meta, out)
-            else:
-                if meta.sem_credit > 0:
-                    meta.sem_credit -= 1
-                    out.sends.append((("core", core.unit, core.local),
-                                      Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
-                else:
-                    meta.locals |= 1 << self._key(core)
-                    out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                      Message(addr, Opcode.SEM_WAIT_GLOBAL, self.unit,
-                                              (msg.info << 32) | 1)))
-
-        elif op is Opcode.SEM_WAIT_GLOBAL:
-            s = src[1]
-            meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-            self._sem_declare(meta, msg.info >> 32)
-            meta.sem_demand[s] = meta.sem_demand.get(s, 0) + (msg.info & 0xFFFFFFFF)
-            self._sem_drain(addr, meta, out)
-
-        elif op is Opcode.SEM_WAIT_OVERFLOW:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            meta = self.meta[addr]
-            meta.ovf_units |= 1 << unit
+        core = self._sender_core(msg)
+        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+        if self.is_master_for(addr):
             self._sem_declare(meta, msg.info)
             if meta.sem_count > 0:
                 meta.sem_count -= 1
-                out.sends.append((self._coord_node(unit),
-                                  Message(addr, Opcode.SEM_GRANT_OVERFLOW, msg.core_id, 0)))
-            else:
-                meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
-
-        elif op is Opcode.SEM_POST_LOCAL:
-            if self.is_master_for(addr):
-                meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-                meta.sem_count += 1
-                self._sem_drain(addr, meta, out)
-            else:
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.SEM_POST_GLOBAL, self.unit, 1)))
-
-        elif op is Opcode.SEM_POST_GLOBAL:
-            meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-            meta.sem_count += msg.info
-            self._sem_drain(addr, meta, out)
-
-        elif op is Opcode.SEM_POST_OVERFLOW:
-            meta = self.meta[addr]
-            meta.sem_count += 1
-            self._sem_drain(addr, meta, out)
-
-        elif op is Opcode.SEM_GRANT_GLOBAL:
-            meta = self.meta.get(addr)
-            if meta is None:
-                raise ProtocolError(f"semaphore grant for unknown variable {addr:#x}")
-            meta.sem_credit += msg.info
-            while meta.sem_credit > 0 and meta.locals:
-                key = _low_bit(meta.locals)
-                meta.locals &= meta.locals - 1
-                meta.sem_credit -= 1
-                core = self._core_from_key(key)
                 out.sends.append((("core", core.unit, core.local),
                                   Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
-            if not meta.locals and meta.sem_credit == 0:
-                self._release_var(addr, meta, out)
+            else:
+                meta.locals |= 1 << self._key(core)
+            self._sem_try_release(addr, meta, out)
+        else:
+            if meta.sem_credit > 0:
+                meta.sem_credit -= 1
+                out.sends.append((("core", core.unit, core.local),
+                                  Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+            else:
+                meta.locals |= 1 << self._key(core)
+                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                                  Message(addr, Opcode.SEM_WAIT_GLOBAL, self.unit,
+                                          (msg.info << 32) | 1)))
 
-        else:  # pragma: no cover
-            raise ProtocolError(f"semaphore opcode {op.name} not valid at a coordinator")
+    def _sem_wait_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        s = src[1]
+        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+        self._sem_declare(meta, msg.info >> 32)
+        meta.sem_demand[s] = meta.sem_demand.get(s, 0) + (msg.info & 0xFFFFFFFF)
+        self._sem_drain(addr, meta, out)
+
+    def _sem_wait_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        unit, local = unpack_core(msg.core_id, self.core_bits)
+        meta = self.meta[addr]
+        meta.ovf_units |= 1 << unit
+        self._sem_declare(meta, msg.info)
+        if meta.sem_count > 0:
+            meta.sem_count -= 1
+            out.sends.append((self._coord_node(unit),
+                              Message(addr, Opcode.SEM_GRANT_OVERFLOW, msg.core_id, 0)))
+        else:
+            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+
+    def _sem_post_local(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        if self.is_master_for(addr):
+            meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+            meta.sem_count += 1
+            self._sem_drain(addr, meta, out)
+        else:
+            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                              Message(addr, Opcode.SEM_POST_GLOBAL, self.unit, 1)))
+
+    def _sem_post_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+        meta.sem_count += msg.info
+        self._sem_drain(addr, meta, out)
+
+    def _sem_post_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        meta = self.meta[addr]
+        meta.sem_count += 1
+        self._sem_drain(addr, meta, out)
+
+    def _sem_grant_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        meta = self.meta.get(addr)
+        if meta is None:
+            raise ProtocolError(f"semaphore grant for unknown variable {addr:#x}")
+        meta.sem_credit += msg.info
+        while meta.sem_credit > 0 and meta.locals:
+            key = _low_bit(meta.locals)
+            meta.locals &= meta.locals - 1
+            meta.sem_credit -= 1
+            core = self._core_from_key(key)
+            out.sends.append((("core", core.unit, core.local),
+                              Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+        if not meta.locals and meta.sem_credit == 0:
+            self._release_var(addr, meta, out)
 
     def _sem_drain(self, addr: int, meta: VarMeta, out: Output) -> None:
         while meta.sem_count > 0 and meta.locals:
@@ -709,69 +704,70 @@ class Coordinator:
 
     # -- condition variables -----------------------------------------------------------
 
-    def _on_cond(self, msg: Message, src, out: Output) -> None:
+    def _cond_wait_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        op = msg.opcode
+        core = self._sender_core(msg)
+        meta, _ = self._get_or_reserve(addr, CONDVAR, out)
+        self._cond_lock_set(meta, msg.info)
+        meta.locals |= 1 << self._key(core)
+        if not self.is_master_for(addr) and not meta.pending_global:
+            meta.pending_global = True
+            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                              Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, msg.info)))
 
-        if op is Opcode.COND_WAIT_LOCAL:
-            core = self._sender_core(msg)
-            meta, _ = self._get_or_reserve(addr, CONDVAR, out)
-            self._cond_lock_set(meta, msg.info)
-            meta.locals |= 1 << self._key(core)
-            if not self.is_master_for(addr) and not meta.pending_global:
-                meta.pending_global = True
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, msg.info)))
+    def _cond_wait_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        s = src[1]
+        meta, _ = self._get_or_reserve(addr, CONDVAR, out)
+        self._cond_lock_set(meta, msg.info)
+        meta.remote_agg |= 1 << s
 
-        elif op is Opcode.COND_WAIT_GLOBAL:
-            s = src[1]
-            meta, _ = self._get_or_reserve(addr, CONDVAR, out)
-            self._cond_lock_set(meta, msg.info)
-            meta.remote_agg |= 1 << s
+    def _cond_wait_overflow(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        unit, local = unpack_core(msg.core_id, self.core_bits)
+        meta = self.meta[addr]
+        self._cond_lock_set(meta, msg.info)
+        meta.ovf_units |= 1 << unit
+        meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
 
-        elif op is Opcode.COND_WAIT_OVERFLOW:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            meta = self.meta[addr]
-            self._cond_lock_set(meta, msg.info)
-            meta.ovf_units |= 1 << unit
-            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
-
-        elif op in (Opcode.COND_SIGNAL_LOCAL, Opcode.COND_BROAD_LOCAL):
-            if self.is_master_for(addr):
-                if op is Opcode.COND_SIGNAL_LOCAL:
-                    self._cond_wake_one(addr, out)
-                else:
-                    self._cond_wake_all(addr, out)
-            else:
-                fwd = (Opcode.COND_SIGNAL_GLOBAL if op is Opcode.COND_SIGNAL_LOCAL
-                       else Opcode.COND_BROAD_GLOBAL)
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, fwd, self.unit, 0)))
-
-        elif op in (Opcode.COND_SIGNAL_GLOBAL, Opcode.COND_SIGNAL_OVERFLOW):
+    def _cond_signal_local(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        if self.is_master_for(addr):
             self._cond_wake_one(addr, out)
+        else:
+            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                              Message(addr, Opcode.COND_SIGNAL_GLOBAL, self.unit, 0)))
 
-        elif op in (Opcode.COND_BROAD_GLOBAL, Opcode.COND_BROAD_OVERFLOW):
+    def _cond_broad_local(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        if self.is_master_for(addr):
             self._cond_wake_all(addr, out)
+        else:
+            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                              Message(addr, Opcode.COND_BROAD_GLOBAL, self.unit, 0)))
 
-        elif op is Opcode.COND_GRANT_GLOBAL:
-            meta = self.meta.get(addr)
-            if meta is None or not meta.locals:
-                raise ProtocolError(f"condvar wake for {addr:#x} with no parked waiter")
-            wakes = bin(meta.locals).count("1") if msg.info == WAKE_ALL else 1
-            for _ in range(wakes):
-                key = _low_bit(meta.locals)
-                meta.locals &= meta.locals - 1
-                self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
-            if meta.locals:
-                # still parked waiters: announce again
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, meta.cond_lock)))
-            else:
-                self._release_var(addr, meta, out)
+    def _cond_signal_forwarded(self, msg: Message, src, out: Output) -> None:
+        self._cond_wake_one(msg.addr, out)
 
-        else:  # pragma: no cover
-            raise ProtocolError(f"condvar opcode {op.name} not valid at a coordinator")
+    def _cond_broad_forwarded(self, msg: Message, src, out: Output) -> None:
+        self._cond_wake_all(msg.addr, out)
+
+    def _cond_grant_global(self, msg: Message, src, out: Output) -> None:
+        addr = msg.addr
+        meta = self.meta.get(addr)
+        if meta is None or not meta.locals:
+            raise ProtocolError(f"condvar wake for {addr:#x} with no parked waiter")
+        wakes = bin(meta.locals).count("1") if msg.info == WAKE_ALL else 1
+        for _ in range(wakes):
+            key = _low_bit(meta.locals)
+            meta.locals &= meta.locals - 1
+            self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
+        if meta.locals:
+            # still parked waiters: announce again
+            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
+                              Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, meta.cond_lock)))
+        else:
+            self._release_var(addr, meta, out)
 
     def _cond_lock_set(self, meta: VarMeta, lock_addr: int) -> None:
         if meta.cond_lock == 0:
@@ -842,3 +838,64 @@ class Coordinator:
             out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL,
                                         wire_core_id(self.cfg.scheme, core.unit, core.local,
                                                      self.core_bits), cv_addr))
+
+
+def _route(op: Opcode):
+    """handle()'s entry point for `op`.
+
+    Overflow requests and wakes follow the memory path, the counter decrease
+    updates the indexing counters, and two local requests need set-up before
+    _handle_inner: a cond wait releases its lock, and a lock acquire may
+    resume a condvar waiter.
+    """
+    if op is Opcode.DECREASE_INDEXING_COUNTER:
+        return Coordinator._on_decrease
+    if op is Opcode.COND_WAIT_LOCAL:
+        return Coordinator._cond_wait_request
+    if op is Opcode.LOCK_ACQUIRE_LOCAL:
+        return Coordinator._lock_acquire_request
+    cls = _CLASS[op]
+    if cls in (OpClass.OVERFLOW_ACQUIRE, OpClass.OVERFLOW_RELEASE):
+        return Coordinator._overflow_request
+    if cls is OpClass.OVERFLOW_GRANT:
+        return Coordinator._deliver_overflow_wake
+    return Coordinator._handle_inner
+
+
+# Both tables are indexed by opcode once per message. They replace chains of
+# `op is Opcode.X` tests, each of which pays for an EnumType.__getattr__ call.
+_ROUTE = {op: _route(op) for op in Opcode}
+
+# the state-machine step for each opcode; a coordinator serves no core-bound one
+_HANDLER = {op: Coordinator._not_served for op in Opcode}
+_HANDLER.update({
+    Opcode.LOCK_ACQUIRE_LOCAL: Coordinator._lock_acquire_local,
+    Opcode.LOCK_ACQUIRE_GLOBAL: Coordinator._lock_acquire_global,
+    Opcode.LOCK_ACQUIRE_OVERFLOW: Coordinator._lock_acquire_overflow,
+    Opcode.LOCK_RELEASE_LOCAL: Coordinator._lock_release_local,
+    Opcode.LOCK_RELEASE_GLOBAL: Coordinator._lock_release_global,
+    Opcode.LOCK_RELEASE_OVERFLOW: Coordinator._lock_release_overflow,
+    Opcode.LOCK_GRANT_GLOBAL: Coordinator._lock_grant_global,
+    Opcode.BARRIER_WAIT_GLOBAL: Coordinator._barrier_wait_global,
+    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: Coordinator._barrier_wait_local,
+    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: Coordinator._barrier_wait_local,
+    Opcode.BARRIER_DEPART_GLOBAL: Coordinator._barrier_depart_global,
+    Opcode.BARRIER_WAIT_OVERFLOW: Coordinator._barrier_wait_overflow,
+    Opcode.SEM_WAIT_LOCAL: Coordinator._sem_wait_local,
+    Opcode.SEM_WAIT_GLOBAL: Coordinator._sem_wait_global,
+    Opcode.SEM_WAIT_OVERFLOW: Coordinator._sem_wait_overflow,
+    Opcode.SEM_POST_LOCAL: Coordinator._sem_post_local,
+    Opcode.SEM_POST_GLOBAL: Coordinator._sem_post_global,
+    Opcode.SEM_POST_OVERFLOW: Coordinator._sem_post_overflow,
+    Opcode.SEM_GRANT_GLOBAL: Coordinator._sem_grant_global,
+    Opcode.COND_WAIT_LOCAL: Coordinator._cond_wait_local,
+    Opcode.COND_WAIT_GLOBAL: Coordinator._cond_wait_global,
+    Opcode.COND_WAIT_OVERFLOW: Coordinator._cond_wait_overflow,
+    Opcode.COND_SIGNAL_LOCAL: Coordinator._cond_signal_local,
+    Opcode.COND_BROAD_LOCAL: Coordinator._cond_broad_local,
+    Opcode.COND_SIGNAL_GLOBAL: Coordinator._cond_signal_forwarded,
+    Opcode.COND_SIGNAL_OVERFLOW: Coordinator._cond_signal_forwarded,
+    Opcode.COND_BROAD_GLOBAL: Coordinator._cond_broad_forwarded,
+    Opcode.COND_BROAD_OVERFLOW: Coordinator._cond_broad_forwarded,
+    Opcode.COND_GRANT_GLOBAL: Coordinator._cond_grant_global,
+})

@@ -23,6 +23,7 @@ import struct
 from typing import NamedTuple
 
 MESSAGE_BYTES = 18
+CORE_ID_LIMIT = 1 << 6  # the core id field is 6 bits wide
 
 _WIRE = struct.Struct("<QBBQ")
 
@@ -149,6 +150,11 @@ def classify_opcode(op: Opcode) -> OpClass:
     return _CLASS[op]
 
 
+# acquire- and release-class opcodes: the requests a table entry serves
+SYNC_REQUESTS = frozenset(op for op, cls in _CLASS.items()
+                          if cls in (OpClass.ACQUIRE, OpClass.RELEASE))
+
+
 class Message(NamedTuple):
     addr: int
     opcode: Opcode
@@ -166,7 +172,7 @@ def encode(m: Message) -> bytes:
     addr, op, core_id, info = m
     if not 0 <= addr < 1 << 64:
         raise CodecError(f"addr {addr} does not fit in 64 bits")
-    if not 0 <= core_id < 64:
+    if not 0 <= core_id < CORE_ID_LIMIT:
         raise CodecError(f"core_id {core_id} does not fit in 6 bits")
     if not 0 <= info < 1 << 64:
         raise CodecError(f"info {info} does not fit in 64 bits")
@@ -192,7 +198,7 @@ def decode(raw: bytes) -> Message:
 def pack_core(unit: int, local: int, core_bits: int) -> int:
     """Pack {unit, local core} into the 6-bit core id field."""
     packed = (unit << core_bits) | local
-    if packed >= 64:
+    if packed >= CORE_ID_LIMIT:
         raise CodecError(f"packed core id {packed} does not fit in 6 bits")
     return packed
 

@@ -14,23 +14,26 @@ are clamped to be non-decreasing per (source, destination) pair, which the
 overflow protocol relies on (a grant must not overtake the episode-closing
 counter decrease).
 
-Event ordering is total and deterministic: (time, kind rank, source id,
-sequence number), with message arrivals served before compute, memory and
-service completions at the same instant.
+Event ordering is total and deterministic: (time, kind rank, node key,
+sequence number). The rank serves message arrivals before compute, memory
+and service completions at the same instant. The node key belongs to the
+core or coordinator the event happens at: the core's global index, or
+1_000_000 plus the coordinator's unit. Among events of one rank at one
+instant, the lower key goes first, so cores go before coordinators.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .baselines import IdealOracle, ServerCache
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
-from .messages import (MESSAGE_BYTES, Message, OpClass, Opcode,
-                       classify_opcode, core_id_bits, encode, wire_core_id)
-from .topology import CoreId, SystemConfig, global_core_id, master_se_of
+from .messages import (MESSAGE_BYTES, SYNC_REQUESTS, Message, Opcode, core_id_bits,
+                       encode, wire_core_id)
+from .topology import CoreId, SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
 SE_CYCLE_PS = 1_000
@@ -56,7 +59,11 @@ MEM_FJ_PER_BIT = 7_000
 L1_HIT_FJ = 23_000
 L1_MISS_FJ = 47_000
 
-_RANK = {"msg": 0, "compute": 1, "mem": 2, "service": 3}
+# event ranks, in the order events of one instant are served
+MSG, COMPUTE, MEM, SERVICE = range(4)
+COORD_KEY_BASE = 1_000_000  # coordinator node keys sort after every core's
+
+_OPCODE_NAMES = tuple(op.name.lower() for op in Opcode)
 
 # blocked-request kind that each core-bound grant or departure completes
 _GRANT_KIND = {
@@ -214,7 +221,7 @@ class Stats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     t: int
     kind: str
@@ -236,50 +243,61 @@ class Network:
         self.lat = lat
         self.en = en
         self.stats = stats
-        self._window = [deque() for _ in range(cfg.num_units)]  # (start, busy)
+        self._window = [deque() for _ in range(cfg.num_units)]  # segment start times
         self._busy = [0] * cfg.num_units
-        self._link_free: dict[tuple[int, int], int] = {}
+        # _link_free[src][dst]: when the directed link src -> dst is next free
+        self._link_free = [[0] * cfg.num_units for _ in range(cfg.num_units)]
         self._pair_last: dict[tuple, int] = {}
+        # per-crossing constants: both models stay fixed for a run
+        self._seg_ps = lat.intra_segment_ps
+        self._window_ps = lat.queue_window_ps
+        self._cap_ps = lat.queue_cap_factor * lat.intra_segment_ps
+        self._line_ps = lat.inter_line_ps
+        self._fixed_ps = lat.inter_fixed_ps
+        self._intra_fj_per_byte = 8 * en.intra_fj_per_bit
+        self._inter_fj_per_byte = 8 * en.inter_fj_per_bit
 
     def _queue_delay_ps(self, unit: int, t: int) -> int:
         """M/D/1 waiting time from utilization over a sliding window."""
         win = self._window[unit]
-        horizon = t - self.lat.queue_window_ps
-        while win and win[0][0] <= horizon:
-            self._busy[unit] -= win.popleft()[1]
+        horizon = t - self._window_ps
+        while win and win[0] <= horizon:
+            win.popleft()
+            self._busy[unit] -= self._seg_ps
         busy = self._busy[unit]
         if busy == 0:
             return 0
-        seg = self.lat.intra_segment_ps
-        free = self.lat.queue_window_ps - busy
-        cap = self.lat.queue_cap_factor * seg
+        free = self._window_ps - busy
         if free <= 0:
             self.stats.saturation_events += 1
-            return cap
-        wait = busy * seg // (2 * free)
-        if wait > cap:
+            return self._cap_ps
+        wait = busy * self._seg_ps // (2 * free)
+        if wait > self._cap_ps:
             self.stats.saturation_events += 1
-            return cap
+            return self._cap_ps
         return wait
 
     def _cross_xbar(self, unit: int, nbytes: int, t: int) -> int:
-        wait = self._queue_delay_ps(unit, t)
-        seg = self.lat.intra_segment_ps
-        start = t + wait
-        self._window[unit].append((start, seg))
-        self._busy[unit] += seg
-        self.stats.bytes_intra += nbytes
-        self.stats.energy_network_fj += self.en.intra_fj(nbytes)
-        return start + seg
+        """One crossbar segment; every window entry is one segment busy."""
+        start = t + self._queue_delay_ps(unit, t)
+        self._window[unit].append(start)
+        self._busy[unit] += self._seg_ps
+        stats = self.stats
+        stats.bytes_intra += nbytes
+        stats.energy_network_fj += nbytes * self._intra_fj_per_byte
+        return start + self._seg_ps
 
     def _cross_link(self, src_unit: int, dst_unit: int, nbytes: int, t: int) -> int:
-        occupy = self.lat.lines(nbytes) * self.lat.inter_line_ps
-        key = (src_unit, dst_unit)
-        start = max(t, self._link_free.get(key, 0))
-        self._link_free[key] = start + occupy
-        self.stats.bytes_inter += nbytes
-        self.stats.energy_network_fj += self.en.inter_fj(nbytes)
-        return start + occupy + self.lat.inter_fixed_ps
+        occupy = -(-nbytes // LINE_BYTES) * self._line_ps
+        free = self._link_free[src_unit]
+        start = free[dst_unit]
+        if start < t:
+            start = t
+        free[dst_unit] = start + occupy
+        stats = self.stats
+        stats.bytes_inter += nbytes
+        stats.energy_network_fj += nbytes * self._inter_fj_per_byte
+        return start + occupy + self._fixed_ps
 
     def send_message(self, src_node, dst_node, t: int) -> int:
         """Deliver one 18-byte message; returns the arrival time."""
@@ -302,13 +320,14 @@ class Network:
     def memory_access(self, req_unit: int, home_unit: int, write: bool, t: int,
                       sync_var: bool = False) -> int:
         """One 64-byte line access; returns the absolute completion time."""
+        stats = self.stats
         if sync_var:
-            self.stats.mem_sync_var += 1
+            stats.mem_sync_var += 1
         elif home_unit == req_unit:
-            self.stats.mem_local += 1
+            stats.mem_local += 1
         else:
-            self.stats.mem_remote += 1
-        self.stats.energy_memory_fj += self.en.memory_fj(LINE_BYTES)
+            stats.mem_remote += 1
+        stats.energy_memory_fj += self.en.memory_fj(LINE_BYTES)
         # request: writes carry the line, reads an 18-byte command
         req_bytes = LINE_BYTES if write else MESSAGE_BYTES
         at = self._cross_xbar(req_unit, req_bytes, t)
@@ -326,17 +345,20 @@ class Network:
 
 
 class _Core:
-    __slots__ = ("core", "gen", "blocked", "done")
+    __slots__ = ("core", "gen", "blocked", "done", "node", "key", "wire_id")
 
-    def __init__(self, core: CoreId, gen):
+    def __init__(self, core: CoreId, gen, key: int, wire_id: int):
         self.core = core
         self.gen = gen
         self.blocked = None
         self.done = False
+        self.node = ("core", core.unit, core.local)
+        self.key = key
+        self.wire_id = wire_id  # core id on this core's requests
 
 
 class _Coord:
-    __slots__ = ("coordinator", "inbox", "busy", "cache",
+    __slots__ = ("coordinator", "inbox", "busy", "cache", "node", "key",
                  "occ_acc", "occ_last_t", "occ_max")
 
     def __init__(self, coordinator: Coordinator, cache: ServerCache | None):
@@ -344,6 +366,8 @@ class _Coord:
         self.inbox = deque()
         self.busy = False
         self.cache = cache
+        self.node = coordinator.node()
+        self.key = COORD_KEY_BASE + coordinator.unit
         self.occ_acc = 0
         self.occ_last_t = 0
         self.occ_max = 0
@@ -367,13 +391,20 @@ class Simulation:
         self.now = 0
         self._seq = 0
         self._heap: list = []
-        self._core_bits = core_id_bits(cfg.cores_per_unit)
+        self._sent = [0] * len(_OPCODE_NAMES)  # messages sent, by opcode value
 
         programs = workload.programs()
-        expected = set(cfg.clients())
-        if set(programs) != expected:
+        bits = core_id_bits(cfg.cores_per_unit)
+        self.cores: dict[CoreId, _Core] = {}
+        for c in cfg.clients():  # in (unit, local) order
+            gen = programs.get(c)
+            if gen is None:
+                break
+            self.cores[c] = _Core(c, gen, c.unit * cfg.cores_per_unit + c.local,
+                                  wire_core_id(cfg.scheme, c.unit, c.local, bits))
+        clients = cfg.total_clients
+        if len(self.cores) != clients or len(programs) != clients:
             raise ProtocolError("workload programs do not cover exactly the client cores")
-        self.cores = {c: _Core(c, programs[c]) for c in sorted(expected)}
         self._pending = len(self.cores)
 
         self.coords: dict[int, _Coord] = {}
@@ -387,52 +418,49 @@ class Simulation:
             for u in range(cfg.num_units):
                 self.coords[u] = _Coord(Coordinator(cfg, u, server=server),
                                         ServerCache() if server else None)
+        # every message endpoint by node tuple
+        self._at = {crt.node: crt for crt in (*self.cores.values(), *self.coords.values())}
 
     # -- plumbing ------------------------------------------------------------
 
-    def _node_key(self, node) -> int:
-        if node[0] == "core":
-            return node[1] * self.cfg.cores_per_unit + node[2]
-        return 1_000_000 + node[1]
-
-    def _sched(self, t: int, kind: str, node, payload) -> None:
+    def _push(self, t: int, rank: int, key: int, node, payload) -> None:
+        """Queue one event; the heap orders events by (t, rank, key, seq)."""
         self._seq += 1
-        heapq.heappush(self._heap, (t, _RANK[kind], self._node_key(node), self._seq,
-                                    kind, node, payload))
+        heappush(self._heap, (t, rank, key, self._seq, node, payload))
 
     def _trace(self, t: int, kind: str, unit: int, local: int, addr: int, info: int = 0) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceRecord(t, kind, unit, local, addr, info))
-
-    def _count_wire(self, msg: Message) -> None:
-        name = msg.opcode.name.lower()
-        self.stats.by_opcode[name] = self.stats.by_opcode.get(name, 0) + 1
-        if self.trace_enabled:
-            self.wire_log += encode(msg)
+        """Append one record; callers test trace_enabled first."""
+        self.trace.append(TraceRecord(t, kind, unit, local, addr, info))
 
     def _send(self, src_node, dst_node, msg: Message, t: int) -> None:
-        self._count_wire(msg)
-        self._trace(t, "msg_send", src_node[1], src_node[2] if src_node[0] == "core" else -1,
-                    msg.addr, msg.opcode.value)
+        self._sent[msg.opcode] += 1
+        if self.trace_enabled:
+            self.wire_log += encode(msg)
+            self._trace(t, "msg_send", src_node[1], src_node[2] if src_node[0] == "core" else -1,
+                        msg.addr, int(msg.opcode))
         if self.drop_filter is not None and self.drop_filter(msg, src_node, dst_node):
             return
         arrival = self.network.send_message(src_node, dst_node, t)
-        self._sched(arrival, "msg", dst_node, (msg, src_node))
+        self._push(arrival, MSG, self._at[dst_node].key, dst_node, (msg, src_node))
 
     # -- run loop ---------------------------------------------------------------
 
     def run(self) -> Stats:
-        for core in self.cores.values():
-            self._advance(core, 0)
-        while self._heap:
-            t, _rank, _key, _seq, kind, node, payload = heapq.heappop(self._heap)
+        advance = self._advance
+        on_msg = self._on_msg
+        on_service_done = self._on_service_done
+        heap = self._heap
+        for crt in self.cores.values():
+            advance(crt, 0)
+        while heap:
+            t, rank, _key, _seq, node, payload = heappop(heap)
             self.now = t
-            if kind == "msg":
-                self._on_msg(node, payload, t)
-            elif kind in ("compute", "mem"):
-                self._advance(self.cores[payload], t)
-            elif kind == "service":
-                self._on_service_done(node, payload, t)
+            if rank == MSG:
+                on_msg(node, payload, t)
+            elif rank == SERVICE:
+                on_service_done(node, payload, t)
+            else:  # COMPUTE or MEM: the core's next step
+                advance(payload, t)
         if self._pending:
             blocked = [(c.core, c.blocked) for c in self.cores.values() if not c.done]
             lines = ", ".join(f"{core}:{why}" for core, why in blocked)
@@ -446,13 +474,14 @@ class Simulation:
 
     def _finalize(self) -> None:
         self.stats.time_ps = self.now
+        self.stats.by_opcode = {name: n for name, n in zip(_OPCODE_NAMES, self._sent) if n}
         end = self.now
         for u in sorted(self.coords):
             crt = self.coords[u]
             table = crt.coordinator.table
             if table is None:
                 continue
-            self._occ_sample(crt, end)
+            self._occ_sample(crt, table, end)
             denom = end * table.capacity
             self.stats.st_avg_occupancy.append(crt.occ_acc / denom if denom else 0.0)
             self.stats.st_max_occupancy.append(crt.occ_max / table.capacity)
@@ -469,24 +498,30 @@ class Simulation:
         granted it, by a grant message or by the ideal oracle.
         """
         core = crt.core
+        tracing = self.trace_enabled
         while True:
             b = crt.blocked
             if b is not None:
                 crt.blocked = None
                 kind = b[0]
+                ops = self.stats.ops
                 if kind == "lock":
-                    self.stats.ops["lock_acquire"] += 1
-                    self._trace(t, "cs_enter", core.unit, core.local, b[1])
+                    ops["lock_acquire"] += 1
+                    if tracing:
+                        self._trace(t, "cs_enter", core.unit, core.local, b[1])
                 elif kind == "cond":
-                    self.stats.ops["cond_wait"] += 1
-                    self._trace(t, "cs_enter", core.unit, core.local, b[2])
-                    self._trace(t, "cond_wake", core.unit, core.local, b[1], b[2])
+                    ops["cond_wait"] += 1
+                    if tracing:
+                        self._trace(t, "cs_enter", core.unit, core.local, b[2])
+                        self._trace(t, "cond_wake", core.unit, core.local, b[1], b[2])
                 elif kind == "sem":
-                    self.stats.ops["sem_wait"] += 1
-                    self._trace(t, "sem_acquire", core.unit, core.local, b[1], b[2])
+                    ops["sem_wait"] += 1
+                    if tracing:
+                        self._trace(t, "sem_acquire", core.unit, core.local, b[1], b[2])
                 else:
-                    self.stats.ops["barrier_wait"] += 1
-                    self._trace(t, "barrier_depart", core.unit, core.local, b[1])
+                    ops["barrier_wait"] += 1
+                    if tracing:
+                        self._trace(t, "barrier_depart", core.unit, core.local, b[1])
             try:
                 step = next(crt.gen)
             except StopIteration:
@@ -498,14 +533,15 @@ class Simulation:
                 n = step[1]
                 if n <= 0:
                     continue
-                self._sched(t + n * CORE_CYCLE_PS, "compute", ("core", core.unit, core.local), core)
+                self._push(t + n * CORE_CYCLE_PS, COMPUTE, crt.key, crt.node, crt)
                 return
             if op == "mem":
                 _, addr, write = step
                 home = addr // self.cfg.unit_mem_bytes
                 done = self.network.memory_access(core.unit, home, write, t)
-                self._trace(t, "mem_op", core.unit, core.local, addr, int(write))
-                self._sched(done, "mem", ("core", core.unit, core.local), core)
+                if tracing:
+                    self._trace(t, "mem_op", core.unit, core.local, addr, int(write))
+                self._push(done, MEM, crt.key, crt.node, crt)
                 return
             if not self._issue(crt, step, t):
                 return
@@ -529,6 +565,7 @@ class Simulation:
         kind = step[0]
         addr = step[1]
         o = self.oracle
+        tracing = self.trace_enabled
         info = 0
 
         if kind == "lock_acquire":
@@ -538,7 +575,8 @@ class Simulation:
             opc = Opcode.LOCK_ACQUIRE_LOCAL
         elif kind == "lock_release":
             self.stats.ops["lock_release"] += 1
-            self._trace(t, "cs_exit", core.unit, core.local, addr)
+            if tracing:
+                self._trace(t, "cs_exit", core.unit, core.local, addr)
             if o is not None:
                 o.lock_release(core, addr)
                 return True
@@ -546,7 +584,8 @@ class Simulation:
         elif kind == "barrier_wait":
             _, addr, info, within = step
             crt.blocked = ("barrier", addr)
-            self._trace(t, "barrier_arrive", core.unit, core.local, addr)
+            if tracing:
+                self._trace(t, "barrier_arrive", core.unit, core.local, addr)
             if o is not None:
                 return o.barrier_wait(core, addr, info)
             opc = (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT if within
@@ -559,7 +598,8 @@ class Simulation:
             opc = Opcode.SEM_WAIT_LOCAL
         elif kind == "sem_post":
             self.stats.ops["sem_post"] += 1
-            self._trace(t, "sem_release", core.unit, core.local, addr)
+            if tracing:
+                self._trace(t, "sem_release", core.unit, core.local, addr)
             if o is not None:
                 o.sem_post(core, addr)
                 return True
@@ -568,8 +608,9 @@ class Simulation:
             _, addr, info = step
             crt.blocked = ("cond", addr, info)
             self.stats.ops["lock_release"] += 1
-            self._trace(t, "cs_exit", core.unit, core.local, info)
-            self._trace(t, "cond_sleep", core.unit, core.local, addr, info)
+            if tracing:
+                self._trace(t, "cs_exit", core.unit, core.local, info)
+                self._trace(t, "cond_sleep", core.unit, core.local, addr, info)
             if o is not None:
                 o.cond_wait(core, addr, info)
                 return False
@@ -589,25 +630,25 @@ class Simulation:
         else:
             raise ProtocolError(f"unknown workload step {kind!r}")
 
-        cid = wire_core_id(self.cfg.scheme, core.unit, core.local, self._core_bits)
-        self._send(("core", core.unit, core.local), self._dst_for(core, addr),
-                   Message(addr, opc, cid, info), t)
+        self._send(crt.node, self._dst_for(core, addr), Message(addr, opc, crt.wire_id, info), t)
         return crt.blocked is None
 
     # -- coordinators --------------------------------------------------------------------
 
     def _on_msg(self, node, payload, t: int) -> None:
         if node[0] == "coord":
-            msg = payload[0]
-            self._trace(t, "msg_recv", node[1], -1, msg.addr, msg.opcode.value)
+            if self.trace_enabled:
+                msg = payload[0]
+                self._trace(t, "msg_recv", node[1], -1, msg.addr, int(msg.opcode))
             self._enqueue(self.coords[node[1]], payload, t)
             return
-        crt = self.cores[CoreId(node[1], node[2])]
+        crt = self._at[node]
         if payload[0] == "wake":
             _, kind, addr = payload
         else:
             msg = payload[0]
-            self._trace(t, "msg_recv", node[1], node[2], msg.addr, msg.opcode.value)
+            if self.trace_enabled:
+                self._trace(t, "msg_recv", node[1], node[2], msg.addr, int(msg.opcode))
             kind = _GRANT_KIND.get(msg.opcode)
             addr = msg.addr
         b = crt.blocked
@@ -626,10 +667,7 @@ class Simulation:
         if not crt.busy:
             self._start_service(crt, t)
 
-    def _occ_sample(self, crt: _Coord, t: int) -> None:
-        table = crt.coordinator.table
-        if table is None:
-            return
+    def _occ_sample(self, crt: _Coord, table, t: int) -> None:
         count = table.occupied_count
         crt.occ_acc += (t - crt.occ_last_t) * count
         crt.occ_last_t = t
@@ -638,17 +676,21 @@ class Simulation:
 
     def _start_service(self, crt: _Coord, t: int) -> None:
         msg, src = crt.inbox.popleft()
-        self._occ_sample(crt, t)
         coord = crt.coordinator
+        table = coord.table
+        if table is not None:
+            self._occ_sample(crt, table, t)
         out = coord.handle(msg, src)
-        self._occ_sample(crt, t)  # reserve/release inside the service counts from t
+        if table is not None:
+            self._occ_sample(crt, table, t)  # reserve/release inside the service counts from t
 
-        if src[0] == "core" and classify_opcode(msg.opcode) in (OpClass.ACQUIRE, OpClass.RELEASE):
+        if src[0] == "core" and msg.opcode in SYNC_REQUESTS:
             self.stats.sync_requests += 1
             if out.overflowed:
                 self.stats.sync_overflowed += 1
-        for kind, addr in out.table_events:
-            self._trace(t, kind, coord.unit, -1, addr)
+        if self.trace_enabled:
+            for kind, addr in out.table_events:
+                self._trace(t, kind, coord.unit, -1, addr)
 
         cursor = t + SE_SERVICE_PS
         for opkind, addr in out.mem_ops:
@@ -658,22 +700,25 @@ class Simulation:
             cursor = self._server_touches(crt, out.touches, cursor)
 
         crt.busy = True
-        self._sched(cursor, "service", coord.node(), out)
+        self._push(cursor, SERVICE, crt.key, crt.node, out)
 
     def _server_touches(self, crt: _Coord, touches, cursor: int) -> int:
         """A software server reads and updates each variable line it handles."""
         unit = crt.coordinator.unit
+        stats = self.stats
+        hit_ps = self.lat.l1_hit_ps
+        hit_fj = self.en.l1_hit_fj
         for addr in touches:
             line = addr // LINE_BYTES
             if crt.cache.access(line):
-                cursor += self.lat.l1_hit_ps
-                self.stats.energy_cache_fj += self.en.cache_fj(True)
+                cursor += hit_ps
+                stats.energy_cache_fj += hit_fj
             else:
-                self.stats.energy_cache_fj += self.en.cache_fj(False)
+                stats.energy_cache_fj += self.en.l1_miss_fj
                 home = addr // self.cfg.unit_mem_bytes
                 cursor = self.network.memory_access(unit, home, False, cursor, sync_var=True)
-            cursor += self.lat.l1_hit_ps  # write the updated state back to the line
-            self.stats.energy_cache_fj += self.en.cache_fj(True)
+            cursor += hit_ps  # write the updated state back to the line
+            stats.energy_cache_fj += hit_fj
         return cursor
 
     def _on_service_done(self, node, out, t: int) -> None:
@@ -694,4 +739,5 @@ class Simulation:
         A cond wake's lock is the one the core named in its wait, which
         crt.blocked already holds.
         """
-        self._sched(self.now, "msg", ("core", core.unit, core.local), ("wake", kind, addr))
+        crt = self.cores[core]
+        self._push(self.now, MSG, crt.key, crt.node, ("wake", kind, addr))

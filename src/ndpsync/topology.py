@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .messages import CORE_ID_LIMIT, core_id_bits
 
 MIB = 1024 * 1024
 
@@ -20,6 +21,11 @@ MEMORY_TECHS = ("hbm", "hmc", "ddr4")
 # Schemes that dedicate one core per unit (hier) or one core in the whole
 # system (central) as a software synchronization server.
 SERVER_SCHEMES = ("central", "hier")
+
+# Schemes whose requests can carry a packed {unit, core} id: flat and central
+# routing on every request, syncron on its table-overflow path. hier sends
+# only the local id; the ideal scheme sends no messages.
+PACKED_ID_SCHEMES = ("syncron", "flat", "central")
 
 
 @dataclass(frozen=True, order=True)
@@ -69,6 +75,23 @@ class SystemConfig:
             raise ConfigError("unit_mem_bytes must be >= 1")
         if self.inbox_depth < 1:
             raise ConfigError("inbox_depth must be >= 1")
+        if self.scheme != "ideal":
+            self._check_core_id_width()
+
+    def _check_core_id_width(self) -> None:
+        """Reject a shape whose client cores' wire ids need more than 6 bits.
+
+        The check covers the widest id the scheme can send, so a run cannot
+        fail later depending on whether, say, the overflow path fires.
+        """
+        top = self.clients_per_unit - 1
+        if self.scheme in PACKED_ID_SCHEMES:
+            top |= (self.num_units - 1) << core_id_bits(self.cores_per_unit)
+        if top >= CORE_ID_LIMIT:
+            raise ConfigError(
+                f"scheme {self.scheme!r} with {self.num_units} units x {self.cores_per_unit} "
+                f"cores ({self.clients_per_unit} clients per unit) needs core id {top}, "
+                f"which does not fit the 6-bit wire field")
 
     # -- derived quantities ------------------------------------------------
 

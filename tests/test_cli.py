@@ -176,3 +176,23 @@ def test_verify_reports_violations_with_exit_1(tmp_path, monkeypatch):
     out = tmp_path / "out"
     rv = cli.main(SMALL + ["--workload", "stack", "--verify", "--out", str(out)])
     assert rv == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "flat", "--units", "8"],
+    ["--scheme", "central", "--units", "5"],
+    ["--units", "8", "--st-entries", "1", "--workload", "hash_table"],
+], ids=["flat-8-units", "central-5-units", "syncron-8x16-overflow"])
+def test_core_id_overflow_exits_2_before_running(tmp_path, argv, capsys):
+    rv = cli.main(argv + ["--out", str(tmp_path)])
+    assert rv == 2
+    assert "6-bit" in capsys.readouterr().err
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_bad_shape_later_in_sweep_exits_2_before_first_run(tmp_path, capsys):
+    rv = cli.main(["--scheme", "flat", "--cores-per-unit", "4", "--sweep", "units=1,32",
+                   "--out", str(tmp_path)])
+    assert rv == 2
+    out, err = capsys.readouterr()
+    assert "[0]" not in out and "6-bit" in err

@@ -107,6 +107,28 @@ GOLDEN = {
     "ideal/linked_list/st64": "9a7d465a7bb38ff793f9bd0a4bab01e42a526ca95bee4fe7cae88dac35454ee3",
 }
 
+# The paper-size 4x16 system under the four message-passing schemes. The
+# iteration counts are cut (lock 10, condvar 2) to keep the runs short.
+GOLDEN_4X16 = {
+    "syncron/lock/st4": "1ed5d553f36d89fbcd067952a137d462fac1dd0768eac6a2f6983de9b329a5f2",
+    "syncron/lock/st64": "f29c67770f5ad408aa131d4bc2a2cf0fb5c2f8e8497e04ae6c07d09280f690c7",
+    "syncron/condvar/st4": "39a6009925eea02ee64baf74bf1b5a6f26eba439c743c8276257621545919d72",
+    "syncron/condvar/st64": "9a4943309e9688296c12c4bd14e107a8575c4e688080c55dc14e6e4bd450a7c7",
+    "flat/lock/st4": "015338d1bbeeeab748ec0e14e777a87068c8b6d5822af375e6ebb9d5c904afa5",
+    "flat/lock/st64": "dd98f73f5e0b9b6cf3ba505c68aca0fc5e469410d071aac4452e5fc70b076ec5",
+    "flat/condvar/st4": "54e74183b78d061abfe1fcc380644b5def8f66afe0fca2b733580cb199c3c035",
+    "flat/condvar/st64": "babd4186f472bdb5ac89410b4706a5cbdc35f20916603bf2017c76d867cf5527",
+    "hier/lock/st4": "c55118f5e5e3f9c28c404cbd8517bf6f438fd8b60694e883c1b6a55e7a8713d6",
+    "hier/lock/st64": "f57b1d642f671d2310acbbfc4744dea1811c2c0c5bead9c88ff35901b2362bfe",
+    "hier/condvar/st4": "d3bf5014c7013be4da0f9ae3a2b1c60b0f06d0811147fa45a53eef817b717560",
+    "hier/condvar/st64": "6aaa57a1b9a6f39bee8f35547b351445cdfafed5258e49b140af035127599e8c",
+    "central/lock/st4": "21eed54c7db00a66030c81e40b0b2924e139dc3b234038e9b98705aa5c9271fc",
+    "central/lock/st64": "8c317e7ed26cb50458c504dc2b98a7b956d5f62e297f460f156d910eb2bffc61",
+    "central/condvar/st4": "71a1e98194e96f94bf3c0b7823154f69d7c1c45078968bce90935f7ec070e383",
+    "central/condvar/st64": "38faf77c0126ab29a2eacf589d5183a36effffbd209c05e98afc27b6440e78b9",
+}
+ITERATIONS_4X16 = {"lock": 10, "condvar": 2}
+
 
 def output_digest(rc: RunConfig) -> str:
     stats, sim = run_once(rc, trace=True)
@@ -133,4 +155,18 @@ def test_outputs_match_golden_digests():
     got = {name: output_digest(rc) for name, rc in golden_runs()}
     assert set(got) == set(GOLDEN)
     changed = sorted(name for name in got if got[name] != GOLDEN[name])
+    assert not changed, f"outputs changed for {changed}"
+
+
+def test_paper_size_outputs_match_golden_digests():
+    got = {}
+    for scheme in ("syncron", "flat", "hier", "central"):
+        for workload, iterations in ITERATIONS_4X16.items():
+            for st in (4, 64):
+                rc = RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
+                               st_entries=st, seed=3,
+                               workload_params={"iterations": iterations})
+                got[f"{scheme}/{workload}/st{st}"] = output_digest(rc)
+    assert set(got) == set(GOLDEN_4X16)
+    changed = sorted(name for name in got if got[name] != GOLDEN_4X16[name])
     assert not changed, f"outputs changed for {changed}"

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from ndpsync.errors import ConfigError, SimulationDeadlock
+import ndpsync.sim as sim_module
+from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
 from ndpsync.messages import Opcode
-from ndpsync.sim import (CORE_CYCLE_PS, DRAM_PS, SE_SERVICE_PS, EnergyModel,
-                         LatencyModel, Network, Simulation, Stats)
-from ndpsync.topology import SystemConfig
+from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_PS, SERVICE,
+                         EnergyModel, LatencyModel, Network, Simulation, Stats)
+from ndpsync.topology import CoreId, SystemConfig
 from ndpsync.workloads import Workload, make_workload
 
 
@@ -37,34 +38,38 @@ def tiny_sim(scheme="syncron", units=1, cores=2, steps=None, **kw):
 # -- event queue ------------------------------------------------------------------
 
 
+def push(sim, t, rank, node, payload):
+    """Queue one event for `node` the way the runtime does, keyed by that node."""
+    sim._push(t, rank, sim._at[node].key, node, payload)
+
+
 def test_tie_break_lower_source_first():
-    sim = tiny_sim()
-    # two events at t=5 from sources 1 and 2, pushed in reverse order
-    sim._sched(5, "compute", ("core", 0, 2), "b")
-    sim._sched(5, "compute", ("core", 0, 1), "a")
+    sim = tiny_sim(cores=3)  # client cores 0 and 1
+    # two events at t=5 for cores 1 and 0, pushed in reverse order
+    push(sim, 5, COMPUTE, ("core", 0, 1), "b")
+    push(sim, 5, COMPUTE, ("core", 0, 0), "a")
     first = heapq.heappop(sim._heap)
     second = heapq.heappop(sim._heap)
-    assert first[6] == "a" and second[6] == "b"
+    assert first[5] == "a" and second[5] == "b"
 
 
 def test_message_rank_beats_compute_at_same_instant():
     sim = tiny_sim()
-    sim._sched(5, "compute", ("core", 0, 0), "compute")
-    sim._sched(5, "msg", ("core", 0, 0), "msg")
-    assert heapq.heappop(sim._heap)[6] == "msg"
+    push(sim, 5, COMPUTE, ("core", 0, 0), "compute")
+    push(sim, 5, MSG, ("core", 0, 0), "msg")
+    assert heapq.heappop(sim._heap)[5] == "msg"
 
 
 def test_monotone_pop_over_random_inserts():
-    sim = tiny_sim()
+    sim = tiny_sim(cores=3)  # client cores 0 and 1
     rng = random.Random(11)
-    rank = {"msg": 0, "compute": 1, "mem": 2, "service": 3}
     expect = []
     for i in range(3000):
         t = rng.randrange(0, 10_000)
         local = rng.randrange(2)
-        kind = rng.choice(("msg", "compute", "mem", "service"))
-        sim._sched(t, kind, ("core", 0, local), i)
-        expect.append((t, rank[kind], local, i + 1))  # seq counts from 1
+        rank = rng.choice((MSG, COMPUTE, MEM, SERVICE))
+        push(sim, t, rank, ("core", 0, local), i)
+        expect.append((t, rank, local, i + 1))  # seq counts from 1
     popped = [heapq.heappop(sim._heap)[:4] for _ in range(3000)]
     assert popped == sorted(expect)
     assert all(a <= b for a, b in zip(popped, popped[1:]))
@@ -313,3 +318,52 @@ def test_stats_dict_shape():
     assert d["sync_table"]["requests"] >= d["sync_table"]["overflowed"]
     for occ in d["sync_table"]["avg_occupancy"] + d["sync_table"]["max_occupancy"]:
         assert 0.0 <= occ <= 1.0
+
+
+# -- message hot path ------------------------------------------------------------
+
+
+SCHEMES = ("syncron", "flat", "central", "hier", "ideal")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_untraced_run_never_encodes(scheme, monkeypatch):
+    def refuse(msg):
+        raise AssertionError(f"encode called without tracing: {msg}")
+
+    monkeypatch.setattr(sim_module, "encode", refuse)
+    # st_entries=1 also drives the overflow path and table reserve/release events
+    for workload in ("condvar", "hash_table"):
+        cfg = SystemConfig(num_units=2, cores_per_unit=4, scheme=scheme, st_entries=1)
+        sim = Simulation(cfg, make_workload(cfg, workload, seed=3))
+        stats = sim.run()
+        assert stats.completed_ops > 0
+        assert sim.trace == [] and sim.wire_log == bytearray()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("workload", ("lock", "condvar"))
+def test_by_opcode_counts_every_message(scheme, workload):
+    cfg = SystemConfig(num_units=2, cores_per_unit=4, scheme=scheme)
+    stats = Simulation(cfg, make_workload(cfg, workload, seed=3)).run()
+    assert sum(stats.by_opcode.values()) == stats.messages_intra + stats.messages_inter
+    assert all(n > 0 for n in stats.by_opcode.values())
+
+
+@pytest.mark.parametrize("locals_", [(0,), (0, 1, 2)], ids=["missing", "extra"])
+def test_programs_must_cover_exactly_the_clients(locals_):
+    cfg = SystemConfig(num_units=1, cores_per_unit=3)  # clients 0 and 1
+    wl = Script(cfg)
+    wl.programs = lambda: {CoreId(0, i): iter(()) for i in locals_}
+    with pytest.raises(ProtocolError, match="do not cover exactly"):
+        Simulation(cfg, wl)
+
+
+def test_widest_packed_core_id_encodes():
+    # 4 units x 16 clients: the overflow path packs ids up to 63
+    cfg = SystemConfig(num_units=4, cores_per_unit=16, clients_per_unit=16, st_entries=1)
+    sim = Simulation(cfg, make_workload(cfg, "hash_table", seed=3,
+                                        params={"ops_per_core": 2}), trace=True)
+    stats = sim.run()
+    assert stats.sync_overflowed > 0
+    assert len(sim.wire_log) == 18 * (stats.messages_intra + stats.messages_inter)

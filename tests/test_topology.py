@@ -92,3 +92,34 @@ def test_single_core_unit_client_allowed():
     cfg = SystemConfig(num_units=1, cores_per_unit=1, scheme="syncron")
     assert cfg.clients_per_unit == 1
     assert cfg.clients() == [CoreId(0, 0)]
+
+
+# -- 6-bit wire core id ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scheme": "flat", "num_units": 8},
+    {"scheme": "central", "num_units": 5},
+    # rejected whether or not the overflow path would ever fire
+    {"scheme": "syncron", "num_units": 8, "st_entries": 1},
+    {"scheme": "syncron", "num_units": 8, "st_entries": 64},
+    {"scheme": "syncron", "num_units": 1, "cores_per_unit": 65, "clients_per_unit": 65},
+    {"scheme": "hier", "num_units": 1, "cores_per_unit": 66},  # local id 64
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_core_id_overflow_rejected_at_startup(kwargs):
+    with pytest.raises(ConfigError, match="6-bit"):
+        SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scheme": "syncron", "num_units": 4, "clients_per_unit": 16},  # packed id 63
+    {"scheme": "flat"},
+    {"scheme": "central"},
+    {"scheme": "hier", "num_units": 8},       # only local ids go on the wire
+    {"scheme": "hier", "num_units": 1, "cores_per_unit": 65},  # local ids 0..63
+    {"scheme": "syncron", "num_units": 1, "cores_per_unit": 65},  # packed ids 0..63
+    {"scheme": "ideal", "num_units": 8},      # no messages at all
+    {"scheme": "syncron", "num_units": 8, "cores_per_unit": 8},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_widest_core_id_that_fits_is_accepted(kwargs):
+    SystemConfig(**kwargs)
