@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .sim import LatencyModel, Simulation, Stats
-from .topology import MIB, SCHEMES, SystemConfig
+from .topology import MEMORY_TECHS, MIB, SCHEMES, SystemConfig
 from .verifier import verify_trace
 from .workloads import WORKLOAD_NAMES, make_workload
 
@@ -134,8 +134,6 @@ class RunConfig:
 
 def run_once(rc: RunConfig, trace: bool = False):
     """Build and run one simulation; returns (stats, simulation)."""
-    if rc.workload not in WORKLOAD_NAMES:
-        raise ConfigError(f"unknown workload {rc.workload!r}; choose from {WORKLOAD_NAMES}")
     cfg = rc.system_config()
     workload = make_workload(cfg, rc.workload, rc.seed, rc.workload_params)
     sim = Simulation(cfg, workload, latency=rc.latency_model(), trace=trace)
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores-per-unit", type=int)
     p.add_argument("--st-entries", type=int)
     p.add_argument("--link-latency-ns", type=float)
-    p.add_argument("--memory", choices=("hbm", "hmc", "ddr4"))
+    p.add_argument("--memory", choices=MEMORY_TECHS)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
     p.add_argument("--trace", action="store_true", help="write trace.jsonl and trace.bin")
@@ -288,8 +286,11 @@ def main(argv=None) -> int:
             if value is not None:
                 setattr(base, attr, value)
         runs = expand_runs(base, parse_sweeps(args.sweep))
-        for rc in runs:  # a bad system shape anywhere in a sweep fails before any run
+        for rc in runs:  # a bad run anywhere in a sweep fails before any run
+            if rc.workload not in WORKLOAD_NAMES:
+                raise ConfigError(f"unknown workload {rc.workload!r}; choose from {WORKLOAD_NAMES}")
             rc.system_config()
+            rc.latency_model()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from .errors import ProtocolError
 from .messages import (_CLASS, SYNC_REQUESTS, Message, OpClass, Opcode, core_id_bits,
                        pack_core, unpack_core, wire_core_id)
 from .sync_table import IndexingCounters, SynchronizationTable
-from .topology import CoreId, SystemConfig, master_se_of, resolve_core, global_core_id
+from .topology import SystemConfig, master_se_of
 
 # info value on a cond grant that wakes every parked waiter of a unit
 WAKE_ALL = (1 << 64) - 1
@@ -39,11 +39,10 @@ BARRIER = "barrier"
 SEMAPHORE = "semaphore"
 CONDVAR = "condvar"
 
-_FAMILY = {}
-for _op in Opcode:
-    name = _op.name.lower()
-    _FAMILY[_op] = name.split("_", 1)[0]
-_FAMILY[Opcode.DECREASE_INDEXING_COUNTER] = "control"
+# the primitive each opcode acts on, by its name's first word; None for the
+# counter decrease, which acts on no variable's state
+_PRIMITIVE = {op: {"LOCK": LOCK, "BARRIER": BARRIER, "SEM": SEMAPHORE, "COND": CONDVAR}
+              .get(op.name.partition("_")[0]) for op in Opcode}
 
 _OVERFLOW_FORM = {
     Opcode.LOCK_ACQUIRE_LOCAL: Opcode.LOCK_ACQUIRE_OVERFLOW,
@@ -57,10 +56,8 @@ _OVERFLOW_FORM = {
     Opcode.COND_BROAD_LOCAL: Opcode.COND_BROAD_OVERFLOW,
 }
 
-_PRIMITIVE = {"lock": LOCK, "barrier": BARRIER, "sem": SEMAPHORE, "cond": CONDVAR}
-
 # condvar signals and broadcasts: with nothing parked anywhere they are lost
-_COND_SIGNALS = frozenset(op for op in Opcode if _FAMILY[op] == "cond"
+_COND_SIGNALS = frozenset(op for op in Opcode if _PRIMITIVE[op] == CONDVAR
                           and _CLASS[op] in (OpClass.RELEASE, OpClass.OVERFLOW_RELEASE))
 _LOCK_RELEASES = frozenset((Opcode.LOCK_RELEASE_LOCAL, Opcode.LOCK_RELEASE_GLOBAL,
                             Opcode.LOCK_RELEASE_OVERFLOW))
@@ -78,25 +75,22 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def _next_waiting_unit(remote_ovf: dict, agg_units) -> int | None:
-    """Lowest unit id with an overflow waiter or an aggregated request.
-
-    Callers serve that unit's overflow waiters before its aggregate.
-    """
-    return min([u for u, m in remote_ovf.items() if m] + list(agg_units), default=None)
-
-
 @dataclass(slots=True)
 class VarMeta:
-    """Live coordination state for one variable at one coordinator."""
+    """Live coordination state for one variable at one coordinator.
+
+    Waiting cores are bits keyed by a core id: `locals` by the id on the
+    cores' own requests, `remote_ovf` by the packed {unit, core} id of an
+    overflow message. Either way ascending bits order cores by (unit, local).
+    """
 
     primitive: str
     backing: str  # "entry" | "record" | "server"
-    locals: int = 0                 # waiting cores (this unit; global ids when routing is flat)
+    locals: int = 0                 # waiting cores that send here
     remote_agg: int = 0             # units waiting as aggregates (master only)
-    remote_ovf: dict = field(default_factory=dict)  # unit -> mask of packed overflow waiters
+    remote_ovf: int = 0             # overflow waiters of other units (master only)
     ovf_units: int = 0              # units owed a decrease_indexing_counter at quiescence
-    owner: tuple | None = None      # ("core", CoreId) | ("unit", u)
+    owner: tuple | None = None      # ("core", unit, local) | ("unit", u)
     pending_global: bool = False    # non-master: upward announce outstanding
     # barrier
     arrivals: int = 0
@@ -136,11 +130,14 @@ class Coordinator:
         self.counters = None if server else IndexingCounters(cfg.index_counters)
         self.meta: dict[int, VarMeta] = {}
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
-        self.cond_resume: dict[int, int] = {}   # core key -> condvar being resumed
+        self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
         self.core_bits = core_id_bits(cfg.cores_per_unit)
-        self._cores: dict[int, CoreId] = {}  # this unit's cores by local id, made on first use
+        # the cores whose requests come here, by the core id those requests carry
+        self.clients = {wire_core_id(cfg.scheme, c.unit, c.local, self.core_bits):
+                        ("core", c.unit, c.local)
+                        for c in cfg.clients() if self.flat or c.unit == unit}
 
-    # -- identity helpers ---------------------------------------------------
+    # -- identity and sending --------------------------------------------------
 
     def node(self):
         return ("coord", self.unit)
@@ -151,25 +148,24 @@ class Coordinator:
     def _coord_node(self, unit: int):
         return ("coord", 0) if self.central else ("coord", unit)
 
-    def _local_core(self, local: int) -> CoreId:
-        core = self._cores.get(local)
-        if core is None:
-            if not 0 <= local < self.cfg.cores_per_unit:
-                raise ProtocolError(f"core id {local} outside unit {self.unit}")
-            core = self._cores[local] = CoreId(self.unit, local)
-        return core
+    def _client(self, core_id: int):
+        """Node of the client core that sends `core_id` here."""
+        node = self.clients.get(core_id)
+        if node is None:
+            raise ProtocolError(f"core id {core_id} names no client of coordinator {self.unit}")
+        return node
 
-    def _sender_core(self, msg: Message) -> CoreId:
-        if self.flat:
-            unit, local = unpack_core(msg.core_id, self.core_bits)
-            return CoreId(unit, local)
-        return self._local_core(msg.core_id)
+    def _to_core(self, out: Output, core_id: int, addr: int, op: Opcode, info: int = 0) -> None:
+        node = self.clients[core_id]
+        out.sends.append((node, Message(addr, op, node[2], info)))
 
-    def _key(self, core: CoreId) -> int:
-        return global_core_id(self.cfg, core) if self.flat else core.local
+    def _to_unit(self, out: Output, unit: int, addr: int, op: Opcode, core_id: int,
+                 info: int = 0) -> None:
+        out.sends.append((self._coord_node(unit), Message(addr, op, core_id, info)))
 
-    def _core_from_key(self, key: int) -> CoreId:
-        return resolve_core(self.cfg, key) if self.flat else self._local_core(key)
+    def _to_master(self, out: Output, addr: int, op: Opcode, info: int = 0) -> None:
+        """A *_global request for `addr`'s master, sent on behalf of this unit."""
+        self._to_unit(out, master_se_of(self.cfg, addr), addr, op, self.unit, info)
 
     # -- entry / record management -------------------------------------------
 
@@ -201,6 +197,34 @@ class Coordinator:
             del self.meta[addr]
         # record-backed state is dropped by the memory-path epilogue once quiescent
 
+    def _release_if_quiesced(self, addr: int, meta: VarMeta, out: Output) -> None:
+        if self._quiesced(meta):
+            self._release_var(addr, meta, out)
+
+    # -- waiter order --------------------------------------------------------------
+
+    def _pop_local(self, meta: VarMeta) -> int:
+        """Remove and return the lowest waiting core id."""
+        core_id = _low_bit(meta.locals)
+        meta.locals &= meta.locals - 1
+        return core_id
+
+    def _pop_remote(self, meta: VarMeta, agg_unit: int | None) -> int | None:
+        """The master's remote grant order: lowest unit first, and within a
+        unit its overflow cores, lowest first, before its aggregate.
+
+        `agg_unit` is the lowest unit waiting as an aggregate, or None.
+        Returns the packed id of the overflow waiter that goes next, removed
+        from `remote_ovf`, or None when `agg_unit` goes next or none waits.
+        """
+        ovf = meta.remote_ovf
+        if ovf:
+            packed = _low_bit(ovf)
+            if agg_unit is None or packed >> self.core_bits <= agg_unit:
+                meta.remote_ovf = ovf & (ovf - 1)
+                return packed
+        return None
+
     # -- top-level dispatch ---------------------------------------------------
 
     def handle(self, msg: Message, src) -> Output:
@@ -224,7 +248,8 @@ class Coordinator:
         if msg.info:
             # lock re-acquisition for a condvar waiter: the grant must wake
             # the condvar wait, not a plain acquire
-            self.cond_resume[self._key(self._sender_core(msg))] = msg.info
+            self._client(msg.core_id)
+            self.cond_resume[msg.core_id] = msg.info
         self._handle_inner(msg, src, out)
 
     def _handle_inner(self, msg: Message, src, out: Output) -> None:
@@ -259,16 +284,14 @@ class Coordinator:
 
     def _redirect(self, msg: Message, out: Output) -> None:
         """Non-master with no table room: forward to the master via memory."""
-        core = self._sender_core(msg)
-        packed = pack_core(core.unit, core.local, self.core_bits)
+        _, unit, local = self._client(msg.core_id)
         if _CLASS[msg.opcode] is OpClass.ACQUIRE:
             if msg.addr not in self.enrolled:
                 self.enrolled[msg.addr] = 0
                 self.counters.increment(msg.addr)
             self.enrolled[msg.addr] += 1
-        ovf = _OVERFLOW_FORM[msg.opcode]
-        dst = self._coord_node(master_se_of(self.cfg, msg.addr))
-        out.sends.append((dst, Message(msg.addr, ovf, packed, msg.info)))
+        self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, _OVERFLOW_FORM[msg.opcode],
+                      pack_core(unit, local, self.core_bits), msg.info)
 
     def _on_decrease(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
@@ -285,21 +308,20 @@ class Coordinator:
         unit, local = unpack_core(msg.core_id, self.core_bits)
         if unit != self.unit:
             raise ProtocolError(f"{msg.opcode.name} routed to unit {self.unit} for core of unit {unit}")
-        core = CoreId(unit, local)
+        # only a non-master redirects, and its cores send their local index
+        self._client(local)
         n = self.enrolled.get(msg.addr)
         if n is not None and n > 0:
             self.enrolled[msg.addr] = n - 1
         op = msg.opcode
         if op is Opcode.LOCK_GRANT_OVERFLOW:
-            self._grant_lock_to_core(msg.addr, core, out)
+            self._grant_lock_to_core(msg.addr, local, out)
         elif op is Opcode.SEM_GRANT_OVERFLOW:
-            out.sends.append((("core", core.unit, core.local),
-                              Message(msg.addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+            self._to_core(out, local, msg.addr, Opcode.SEM_GRANT_LOCAL)
         elif op is Opcode.BARRIER_DEPARTURE_OVERFLOW:
-            out.sends.append((("core", core.unit, core.local),
-                              Message(msg.addr, Opcode.BARRIER_DEPART_LOCAL, core.local, 0)))
+            self._to_core(out, local, msg.addr, Opcode.BARRIER_DEPART_LOCAL)
         elif op is Opcode.COND_GRANT_OVERFLOW:
-            self._start_resume(core, msg.addr, msg.info, out)
+            self._start_resume(local, msg.addr, msg.info, out)
         else:  # pragma: no cover
             raise ProtocolError(f"unexpected overflow wake {op.name}")
 
@@ -314,7 +336,7 @@ class Coordinator:
                 return  # lost signal: nothing parked anywhere
             if op in _LOCK_RELEASES:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
-            meta = VarMeta(primitive=_PRIMITIVE[_FAMILY[op]], backing="record")
+            meta = VarMeta(primitive=_PRIMITIVE[op], backing="record")
             self.meta[addr] = meta
             self.counters.increment(addr)
         elif meta.backing == "entry":
@@ -331,15 +353,14 @@ class Coordinator:
         if self._quiesced(meta):
             self.counters.decrement(addr)
             for u in _bits(meta.ovf_units):
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.DECREASE_INDEXING_COUNTER, 0, 0)))
+                self._to_unit(out, u, addr, Opcode.DECREASE_INDEXING_COUNTER, 0)
             del self.meta[addr]
         out.mem_ops.append(("write", addr))
 
     def _quiesced(self, meta: VarMeta) -> bool:
         if meta.locals or meta.remote_agg or meta.sem_demand or meta.owner is not None:
             return False
-        if any(meta.remote_ovf.values()) or meta.arrivals or meta.sem_credit:
+        if meta.remote_ovf or meta.arrivals or meta.sem_credit:
             return False
         if meta.primitive == SEMAPHORE:
             if meta.sem_declared is None:
@@ -349,32 +370,31 @@ class Coordinator:
 
     # -- locks -------------------------------------------------------------------
 
-    def _grant_lock_to_core(self, addr: int, core: CoreId, out: Output) -> None:
-        node = ("core", core.unit, core.local)
-        tag = self.cond_resume.pop(self._key(core), None)
+    def _grant_lock_to_core(self, addr: int, core_id: int, out: Output) -> None:
+        tag = self.cond_resume.pop(core_id, None)
         if tag is None:
-            out.sends.append((node, Message(addr, Opcode.LOCK_GRANT_LOCAL, core.local, 0)))
+            self._to_core(out, core_id, addr, Opcode.LOCK_GRANT_LOCAL)
         else:
             # waking a condvar waiter: the grant carries the condvar, lock in info
-            out.sends.append((node, Message(tag, Opcode.COND_GRANT_LOCAL, core.local, addr)))
+            self._to_core(out, core_id, tag, Opcode.COND_GRANT_LOCAL, addr)
 
     def _lock_acquire_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        core = self._sender_core(msg)
+        core_id = msg.core_id
+        node = self._client(core_id)
         meta, fresh = self._get_or_reserve(addr, LOCK, out)
         if self.is_master_for(addr):
             if meta.owner is None:
-                assert not meta.locals and not meta.remote_agg and not any(meta.remote_ovf.values())
-                meta.owner = ("core", core)
-                self._grant_lock_to_core(addr, core, out)
+                assert not meta.locals and not meta.remote_agg and not meta.remote_ovf
+                meta.owner = node
+                self._grant_lock_to_core(addr, core_id, out)
             else:
-                meta.locals |= 1 << self._key(core)
+                meta.locals |= 1 << core_id
         else:
-            meta.locals |= 1 << self._key(core)
+            meta.locals |= 1 << core_id
             if fresh:
                 meta.pending_global = True
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, self.unit, 0)))
+                self._to_master(out, addr, Opcode.LOCK_ACQUIRE_GLOBAL)
             else:
                 assert meta.pending_global or meta.owner is not None
 
@@ -385,30 +405,27 @@ class Coordinator:
         if meta.owner is None:
             assert not meta.locals and not meta.remote_agg
             meta.owner = ("unit", s)
-            out.sends.append((self._coord_node(s),
-                              Message(addr, Opcode.LOCK_GRANT_GLOBAL, self.unit, 0)))
+            self._to_unit(out, s, addr, Opcode.LOCK_GRANT_GLOBAL, self.unit)
         else:
             meta.remote_agg |= 1 << s
 
     def _lock_acquire_overflow(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
         unit, local = unpack_core(msg.core_id, self.core_bits)
-        core = CoreId(unit, local)
         meta = self.meta[addr]
         meta.ovf_units |= 1 << unit
         if meta.owner is None:
-            meta.owner = ("core", core)
-            out.sends.append((self._coord_node(unit),
-                              Message(addr, Opcode.LOCK_GRANT_OVERFLOW, msg.core_id, 0)))
+            meta.owner = ("core", unit, local)
+            self._to_unit(out, unit, addr, Opcode.LOCK_GRANT_OVERFLOW, msg.core_id)
         else:
-            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+            meta.remote_ovf |= 1 << msg.core_id
 
     def _lock_release_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        core = self._sender_core(msg)
+        node = self._client(msg.core_id)
         meta = self.meta.get(addr)
-        if meta is None or meta.owner != ("core", core):
-            raise ProtocolError(f"lock {addr:#x} released by non-owner core {core}")
+        if meta is None or meta.owner != node:
+            raise ProtocolError(f"lock {addr:#x} released by non-owner core {node}")
         if self.is_master_for(addr):
             self._lock_next(addr, meta, out)
         else:
@@ -417,8 +434,7 @@ class Coordinator:
                 self._grant_next_local(addr, meta, out)
             else:
                 # one aggregated release covers every local handoff
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.LOCK_RELEASE_GLOBAL, self.unit, 0)))
+                self._to_master(out, addr, Opcode.LOCK_RELEASE_GLOBAL)
                 self._release_var(addr, meta, out)
 
     def _lock_release_global(self, msg: Message, src, out: Output) -> None:
@@ -431,11 +447,10 @@ class Coordinator:
 
     def _lock_release_overflow(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        unit, local = unpack_core(msg.core_id, self.core_bits)
-        core = CoreId(unit, local)
+        node = ("core", *unpack_core(msg.core_id, self.core_bits))
         meta = self.meta.get(addr)
-        if meta is None or meta.owner != ("core", core):
-            raise ProtocolError(f"lock {addr:#x} released by non-owner overflow core {core}")
+        if meta is None or meta.owner != node:
+            raise ProtocolError(f"lock {addr:#x} released by non-owner overflow core {node}")
         self._lock_next(addr, meta, out)
 
     def _lock_grant_global(self, msg: Message, src, out: Output) -> None:
@@ -448,11 +463,9 @@ class Coordinator:
         self._grant_next_local(addr, meta, out)
 
     def _grant_next_local(self, addr: int, meta: VarMeta, out: Output) -> None:
-        key = _low_bit(meta.locals)
-        meta.locals &= meta.locals - 1
-        core = self._core_from_key(key)
-        meta.owner = ("core", core)
-        self._grant_lock_to_core(addr, core, out)
+        core_id = self._pop_local(meta)
+        meta.owner = self.clients[core_id]
+        self._grant_lock_to_core(addr, core_id, out)
 
     def _lock_next(self, addr: int, meta: VarMeta, out: Output) -> None:
         """Master: hand the lock to the next waiter, locals first."""
@@ -460,23 +473,18 @@ class Coordinator:
         if meta.locals:
             self._grant_next_local(addr, meta, out)
             return
-        u = _next_waiting_unit(meta.remote_ovf, _bits(meta.remote_agg))
-        if u is not None:
-            if meta.remote_ovf.get(u):
-                local = _low_bit(meta.remote_ovf[u])
-                meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
-                core = CoreId(u, local)
-                meta.owner = ("core", core)
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.LOCK_GRANT_OVERFLOW,
-                                          pack_core(u, local, self.core_bits), 0)))
-            else:
-                meta.remote_agg &= ~(1 << u)
-                meta.owner = ("unit", u)
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.LOCK_GRANT_GLOBAL, self.unit, 0)))
-            return
-        self._release_var(addr, meta, out)
+        agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
+        packed = self._pop_remote(meta, agg)
+        if packed is not None:
+            unit, local = unpack_core(packed, self.core_bits)
+            meta.owner = ("core", unit, local)
+            self._to_unit(out, unit, addr, Opcode.LOCK_GRANT_OVERFLOW, packed)
+        elif agg is not None:
+            meta.remote_agg &= ~(1 << agg)
+            meta.owner = ("unit", agg)
+            self._to_unit(out, agg, addr, Opcode.LOCK_GRANT_GLOBAL, self.unit)
+        else:
+            self._release_var(addr, meta, out)
 
     # -- barriers ------------------------------------------------------------------
 
@@ -502,23 +510,22 @@ class Coordinator:
 
     def _barrier_wait_overflow(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        unit, local = unpack_core(msg.core_id, self.core_bits)
         meta = self.meta[addr]
         self._barrier_target(meta, msg.info)
-        meta.ovf_units |= 1 << unit
-        meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+        meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
+        meta.remote_ovf |= 1 << msg.core_id
         meta.arrivals += 1
         self._barrier_check(addr, meta, out)
 
     def _barrier_wait_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        core = self._sender_core(msg)
+        core_id = msg.core_id
+        node = self._client(core_id)
         meta, _ = self._get_or_reserve(addr, BARRIER, out)
         self._barrier_target(meta, msg.info)
-        key = self._key(core)
-        if meta.locals >> key & 1:
-            raise ProtocolError(f"core {core} arrived twice at barrier {addr:#x}")
-        meta.locals |= 1 << key
+        if meta.locals >> core_id & 1:
+            raise ProtocolError(f"core {node} arrived twice at barrier {addr:#x}")
+        meta.locals |= 1 << core_id
 
         single_point = self.flat or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
         if single_point:
@@ -529,19 +536,15 @@ class Coordinator:
                 self._release_var(addr, meta, out)
             return
 
-        two_level = msg.info == self.cfg.total_clients
         if self.is_master_for(addr):
             meta.arrivals += 1
             self._barrier_check(addr, meta, out)
-        elif two_level:
-            # announce once the whole unit has arrived
-            if bin(meta.locals).count("1") == self.cfg.clients_per_unit:
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.BARRIER_WAIT_GLOBAL, self.unit, msg.info)))
-        else:
+        elif msg.info != self.cfg.total_clients:
             # partial participation: forward each arrival, track it for departure
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.BARRIER_WAIT_GLOBAL, self.unit, msg.info)))
+            self._to_master(out, addr, Opcode.BARRIER_WAIT_GLOBAL, msg.info)
+        elif meta.locals.bit_count() == self.cfg.clients_per_unit:
+            # two-level: announce once the whole unit has arrived
+            self._to_master(out, addr, Opcode.BARRIER_WAIT_GLOBAL, msg.info)
 
     def _barrier_target(self, meta: VarMeta, info: int) -> None:
         if meta.target == 0:
@@ -550,25 +553,20 @@ class Coordinator:
             raise ProtocolError(f"barrier participant count mismatch: {meta.target} vs {info}")
 
     def _barrier_depart_locals(self, addr: int, meta: VarMeta, out: Output) -> None:
-        for key in _bits(meta.locals):
-            core = self._core_from_key(key)
-            out.sends.append((("core", core.unit, core.local),
-                              Message(addr, Opcode.BARRIER_DEPART_LOCAL, core.local, 0)))
+        for core_id in _bits(meta.locals):
+            self._to_core(out, core_id, addr, Opcode.BARRIER_DEPART_LOCAL)
         meta.locals = 0
 
     def _barrier_check(self, addr: int, meta: VarMeta, out: Output) -> None:
         if meta.arrivals != meta.target:
             return
         for u in _bits(meta.remote_agg):
-            out.sends.append((self._coord_node(u),
-                              Message(addr, Opcode.BARRIER_DEPART_GLOBAL, self.unit, 0)))
+            self._to_unit(out, u, addr, Opcode.BARRIER_DEPART_GLOBAL, self.unit)
         meta.remote_agg = 0
-        for u in sorted(meta.remote_ovf):
-            for local in _bits(meta.remote_ovf[u]):
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.BARRIER_DEPARTURE_OVERFLOW,
-                                          pack_core(u, local, self.core_bits), 0)))
-            meta.remote_ovf[u] = 0
+        for packed in _bits(meta.remote_ovf):
+            self._to_unit(out, packed >> self.core_bits, addr,
+                          Opcode.BARRIER_DEPARTURE_OVERFLOW, packed)
+        meta.remote_ovf = 0
         self._barrier_depart_locals(addr, meta, out)
         meta.arrivals = 0
         self._release_var(addr, meta, out)
@@ -585,27 +583,23 @@ class Coordinator:
 
     def _sem_wait_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        core = self._sender_core(msg)
+        core_id = msg.core_id
+        self._client(core_id)
         meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
         if self.is_master_for(addr):
             self._sem_declare(meta, msg.info)
             if meta.sem_count > 0:
                 meta.sem_count -= 1
-                out.sends.append((("core", core.unit, core.local),
-                                  Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+                self._to_core(out, core_id, addr, Opcode.SEM_GRANT_LOCAL)
             else:
-                meta.locals |= 1 << self._key(core)
-            self._sem_try_release(addr, meta, out)
+                meta.locals |= 1 << core_id
+            self._release_if_quiesced(addr, meta, out)
+        elif meta.sem_credit > 0:
+            meta.sem_credit -= 1
+            self._to_core(out, core_id, addr, Opcode.SEM_GRANT_LOCAL)
         else:
-            if meta.sem_credit > 0:
-                meta.sem_credit -= 1
-                out.sends.append((("core", core.unit, core.local),
-                                  Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
-            else:
-                meta.locals |= 1 << self._key(core)
-                out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                                  Message(addr, Opcode.SEM_WAIT_GLOBAL, self.unit,
-                                          (msg.info << 32) | 1)))
+            meta.locals |= 1 << core_id
+            self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
 
     def _sem_wait_global(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
@@ -617,16 +611,15 @@ class Coordinator:
 
     def _sem_wait_overflow(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        unit, local = unpack_core(msg.core_id, self.core_bits)
+        unit = msg.core_id >> self.core_bits
         meta = self.meta[addr]
         meta.ovf_units |= 1 << unit
         self._sem_declare(meta, msg.info)
         if meta.sem_count > 0:
             meta.sem_count -= 1
-            out.sends.append((self._coord_node(unit),
-                              Message(addr, Opcode.SEM_GRANT_OVERFLOW, msg.core_id, 0)))
+            self._to_unit(out, unit, addr, Opcode.SEM_GRANT_OVERFLOW, msg.core_id)
         else:
-            meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+            meta.remote_ovf |= 1 << msg.core_id
 
     def _sem_post_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
@@ -635,8 +628,7 @@ class Coordinator:
             meta.sem_count += 1
             self._sem_drain(addr, meta, out)
         else:
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.SEM_POST_GLOBAL, self.unit, 1)))
+            self._to_master(out, addr, Opcode.SEM_POST_GLOBAL, 1)
 
     def _sem_post_global(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
@@ -657,63 +649,46 @@ class Coordinator:
             raise ProtocolError(f"semaphore grant for unknown variable {addr:#x}")
         meta.sem_credit += msg.info
         while meta.sem_credit > 0 and meta.locals:
-            key = _low_bit(meta.locals)
-            meta.locals &= meta.locals - 1
             meta.sem_credit -= 1
-            core = self._core_from_key(key)
-            out.sends.append((("core", core.unit, core.local),
-                              Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+            self._to_core(out, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
         if not meta.locals and meta.sem_credit == 0:
             self._release_var(addr, meta, out)
 
     def _sem_drain(self, addr: int, meta: VarMeta, out: Output) -> None:
         while meta.sem_count > 0 and meta.locals:
-            key = _low_bit(meta.locals)
-            meta.locals &= meta.locals - 1
             meta.sem_count -= 1
-            core = self._core_from_key(key)
-            out.sends.append((("core", core.unit, core.local),
-                              Message(addr, Opcode.SEM_GRANT_LOCAL, core.local, 0)))
+            self._to_core(out, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
         while meta.sem_count > 0:
-            u = _next_waiting_unit(meta.remote_ovf, meta.sem_demand)
-            if u is None:
-                break
-            if meta.remote_ovf.get(u):
-                local = _low_bit(meta.remote_ovf[u])
-                meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
+            agg = min(meta.sem_demand, default=None)
+            packed = self._pop_remote(meta, agg)
+            if packed is not None:
                 meta.sem_count -= 1
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.SEM_GRANT_OVERFLOW,
-                                          pack_core(u, local, self.core_bits), 0)))
-            else:
-                batch = min(meta.sem_count, meta.sem_demand[u])
+                self._to_unit(out, packed >> self.core_bits, addr,
+                              Opcode.SEM_GRANT_OVERFLOW, packed)
+            elif agg is not None:
+                batch = min(meta.sem_count, meta.sem_demand[agg])
                 meta.sem_count -= batch
-                if meta.sem_demand[u] == batch:
-                    del meta.sem_demand[u]
+                if meta.sem_demand[agg] == batch:
+                    del meta.sem_demand[agg]
                 else:
-                    meta.sem_demand[u] -= batch
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.SEM_GRANT_GLOBAL, self.unit, batch)))
-        self._sem_try_release(addr, meta, out)
-
-    def _sem_try_release(self, addr: int, meta: VarMeta, out: Output) -> None:
-        if meta.backing == "record":
-            return  # the memory path decides quiescence
-        if self._quiesced(meta):
-            self._release_var(addr, meta, out)
+                    meta.sem_demand[agg] -= batch
+                self._to_unit(out, agg, addr, Opcode.SEM_GRANT_GLOBAL, self.unit, batch)
+            else:
+                break
+        self._release_if_quiesced(addr, meta, out)
 
     # -- condition variables -----------------------------------------------------------
 
     def _cond_wait_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        core = self._sender_core(msg)
+        core_id = msg.core_id
+        self._client(core_id)
         meta, _ = self._get_or_reserve(addr, CONDVAR, out)
         self._cond_lock_set(meta, msg.info)
-        meta.locals |= 1 << self._key(core)
+        meta.locals |= 1 << core_id
         if not self.is_master_for(addr) and not meta.pending_global:
             meta.pending_global = True
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, msg.info)))
+            self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, msg.info)
 
     def _cond_wait_global(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
@@ -724,27 +699,24 @@ class Coordinator:
 
     def _cond_wait_overflow(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
-        unit, local = unpack_core(msg.core_id, self.core_bits)
         meta = self.meta[addr]
         self._cond_lock_set(meta, msg.info)
-        meta.ovf_units |= 1 << unit
-        meta.remote_ovf[unit] = meta.remote_ovf.get(unit, 0) | (1 << local)
+        meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
+        meta.remote_ovf |= 1 << msg.core_id
 
     def _cond_signal_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
         if self.is_master_for(addr):
             self._cond_wake_one(addr, out)
         else:
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.COND_SIGNAL_GLOBAL, self.unit, 0)))
+            self._to_master(out, addr, Opcode.COND_SIGNAL_GLOBAL)
 
     def _cond_broad_local(self, msg: Message, src, out: Output) -> None:
         addr = msg.addr
         if self.is_master_for(addr):
             self._cond_wake_all(addr, out)
         else:
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.COND_BROAD_GLOBAL, self.unit, 0)))
+            self._to_master(out, addr, Opcode.COND_BROAD_GLOBAL)
 
     def _cond_signal_forwarded(self, msg: Message, src, out: Output) -> None:
         self._cond_wake_one(msg.addr, out)
@@ -757,15 +729,12 @@ class Coordinator:
         meta = self.meta.get(addr)
         if meta is None or not meta.locals:
             raise ProtocolError(f"condvar wake for {addr:#x} with no parked waiter")
-        wakes = bin(meta.locals).count("1") if msg.info == WAKE_ALL else 1
+        wakes = meta.locals.bit_count() if msg.info == WAKE_ALL else 1
         for _ in range(wakes):
-            key = _low_bit(meta.locals)
-            meta.locals &= meta.locals - 1
-            self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
+            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
         if meta.locals:
             # still parked waiters: announce again
-            out.sends.append((self._coord_node(master_se_of(self.cfg, addr)),
-                              Message(addr, Opcode.COND_WAIT_GLOBAL, self.unit, meta.cond_lock)))
+            self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, meta.cond_lock)
         else:
             self._release_var(addr, meta, out)
 
@@ -781,63 +750,45 @@ class Coordinator:
         if meta is None:
             return  # lost signal
         if meta.locals:
-            key = _low_bit(meta.locals)
-            meta.locals &= meta.locals - 1
-            self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
+            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
         else:
-            u = _next_waiting_unit(meta.remote_ovf, _bits(meta.remote_agg))
-            if u is None:
-                return  # lost signal
-            if meta.remote_ovf.get(u):
-                local = _low_bit(meta.remote_ovf[u])
-                meta.remote_ovf[u] &= meta.remote_ovf[u] - 1
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.COND_GRANT_OVERFLOW,
-                                          pack_core(u, local, self.core_bits), meta.cond_lock)))
+            agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
+            packed = self._pop_remote(meta, agg)
+            if packed is not None:
+                self._to_unit(out, packed >> self.core_bits, addr, Opcode.COND_GRANT_OVERFLOW,
+                              packed, meta.cond_lock)
+            elif agg is not None:
+                meta.remote_agg &= ~(1 << agg)
+                self._to_unit(out, agg, addr, Opcode.COND_GRANT_GLOBAL, self.unit, 1)
             else:
-                meta.remote_agg &= ~(1 << u)
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.COND_GRANT_GLOBAL, self.unit, 1)))
-        if not self._cond_busy(meta):
-            self._release_var(addr, meta, out)
+                return  # lost signal
+        self._release_if_quiesced(addr, meta, out)
 
     def _cond_wake_all(self, addr: int, out: Output) -> None:
         meta = self.meta.get(addr)
         if meta is None:
             return
         while meta.locals:
-            key = _low_bit(meta.locals)
-            meta.locals &= meta.locals - 1
-            self._start_resume(self._core_from_key(key), addr, meta.cond_lock, out)
-        for u in sorted(meta.remote_ovf):
-            for local in _bits(meta.remote_ovf[u]):
-                out.sends.append((self._coord_node(u),
-                                  Message(addr, Opcode.COND_GRANT_OVERFLOW,
-                                          pack_core(u, local, self.core_bits), meta.cond_lock)))
-            meta.remote_ovf[u] = 0
+            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
+        for packed in _bits(meta.remote_ovf):
+            self._to_unit(out, packed >> self.core_bits, addr, Opcode.COND_GRANT_OVERFLOW,
+                          packed, meta.cond_lock)
+        meta.remote_ovf = 0
         for u in _bits(meta.remote_agg):
-            out.sends.append((self._coord_node(u),
-                              Message(addr, Opcode.COND_GRANT_GLOBAL, self.unit, WAKE_ALL)))
+            self._to_unit(out, u, addr, Opcode.COND_GRANT_GLOBAL, self.unit, WAKE_ALL)
         meta.remote_agg = 0
-        if not self._cond_busy(meta):
-            self._release_var(addr, meta, out)
+        self._release_if_quiesced(addr, meta, out)
 
-    def _cond_busy(self, meta: VarMeta) -> bool:
-        return bool(meta.locals or meta.remote_agg or any(meta.remote_ovf.values()))
-
-    def _start_resume(self, core: CoreId, cv_addr: int, lock_addr: int, out: Output) -> None:
+    def _start_resume(self, core_id: int, cv_addr: int, lock_addr: int, out: Output) -> None:
         """Wake one waiter: re-acquire its lock, then deliver the cond grant."""
         if lock_addr == 0:
             raise ProtocolError(f"condvar {cv_addr:#x} woken without an associated lock")
         if self.cfg.scheme == "flat" and master_se_of(self.cfg, lock_addr) != self.unit:
             # the lock lives at another master: re-acquire over the wire
-            out.sends.append((self._coord_node(master_se_of(self.cfg, lock_addr)),
-                              Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL,
-                                      pack_core(core.unit, core.local, self.core_bits), cv_addr)))
+            self._to_unit(out, master_se_of(self.cfg, lock_addr), lock_addr,
+                          Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr)
         else:
-            out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL,
-                                        wire_core_id(self.cfg.scheme, core.unit, core.local,
-                                                     self.core_bits), cv_addr))
+            out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr))
 
 
 def _route(op: Opcode):

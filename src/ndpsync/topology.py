@@ -118,19 +118,7 @@ class SystemConfig:
 
 def master_se_of(cfg: SystemConfig, addr: int) -> int:
     """Unit whose engine masters `addr` (contiguous partitioning)."""
-    if not 0 <= addr < cfg.total_mem_bytes:
+    unit = addr // cfg.unit_mem_bytes
+    if addr < 0 or unit >= cfg.num_units:
         raise ConfigError(f"address {addr:#x} outside system memory (0..{cfg.total_mem_bytes:#x})")
-    return addr // cfg.unit_mem_bytes
-
-
-def resolve_core(cfg: SystemConfig, global_id: int) -> CoreId:
-    """Map a flat core index to (unit, local); inverse of global_core_id."""
-    if not 0 <= global_id < cfg.total_cores:
-        raise ConfigError(f"core id {global_id} outside [0, {cfg.total_cores})")
-    return CoreId(global_id // cfg.cores_per_unit, global_id % cfg.cores_per_unit)
-
-
-def global_core_id(cfg: SystemConfig, core: CoreId) -> int:
-    if not (0 <= core.unit < cfg.num_units and 0 <= core.local < cfg.cores_per_unit):
-        raise ConfigError(f"core {core} outside system")
-    return core.unit * cfg.cores_per_unit + core.local
+    return unit

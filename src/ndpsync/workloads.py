@@ -25,7 +25,7 @@ import json
 import random
 
 from .errors import ConfigError
-from .topology import CoreId, SystemConfig, global_core_id
+from .topology import CoreId, SystemConfig
 
 _SYNC_REGION = 0x10_000      # per-unit offset for synchronization variables
 _DATA_REGION = 0x4_000_000   # per-unit offset for data

@@ -190,9 +190,16 @@ def test_core_id_overflow_exits_2_before_running(tmp_path, argv, capsys):
     assert not (tmp_path / "stats.json").exists()
 
 
-def test_bad_shape_later_in_sweep_exits_2_before_first_run(tmp_path, capsys):
-    rv = cli.main(["--scheme", "flat", "--cores-per-unit", "4", "--sweep", "units=1,32",
-                   "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv, fragment", [
+    (["--scheme", "flat", "--cores-per-unit", "4", "--sweep", "units=1,32"], "6-bit"),
+    (["--units", "1", "--cores-per-unit", "4", "--sweep", "workload=lock,bogus"],
+     "unknown workload 'bogus'"),
+    (["--units", "1", "--cores-per-unit", "4", "--sweep", "link_latency_ns=5,-1"],
+     "link_latency_ns must be positive"),
+], ids=["core-id-width", "workload", "link-latency"])
+def test_bad_shape_later_in_sweep_exits_2_before_first_run(tmp_path, capsys, argv, fragment):
+    rv = cli.main(argv + ["--out", str(tmp_path)])
     assert rv == 2
     out, err = capsys.readouterr()
-    assert "[0]" not in out and "6-bit" in err
+    assert "[0]" not in out and fragment in err
+    assert not any(tmp_path.iterdir())

@@ -201,6 +201,54 @@ def test_grant_goes_local_first_then_ascending_units():
     assert coord.table.occupied_count == 0
 
 
+def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
+    # syncron 4x3 (packed id = unit << 2 | local): a unit-0 core holds a unit-0
+    # lock; units 1 and 3 wait as aggregates, a core each of units 1 and 2
+    # waits through the overflow path, which moves the lock into memory
+    cfg = SystemConfig(num_units=4, cores_per_unit=3)
+    coord = Coordinator(cfg, 0, server=False)
+    addr = 64
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0), ("coord", 3))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0), ("coord", 1))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1))
+    assert coord.meta[addr].backing == "record"
+
+    releases = [
+        (Message(addr, Opcode.LOCK_RELEASE_LOCAL, 0, 0), ("core", 0, 0)),
+        (Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1)),
+        (Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1)),
+        (Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2)),
+        (Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 3, 0), ("coord", 3)),
+    ]
+    sends = [[(dst, m.opcode, m.core_id) for dst, m in coord.handle(msg, src).sends]
+             for msg, src in releases]
+    assert sends == [
+        [(("coord", 1), Opcode.LOCK_GRANT_OVERFLOW, 1 << 2 | 1)],  # unit 1's second core
+        [(("coord", 1), Opcode.LOCK_GRANT_GLOBAL, 0)],             # then unit 1's aggregate
+        [(("coord", 2), Opcode.LOCK_GRANT_OVERFLOW, 2 << 2 | 0)],
+        [(("coord", 3), Opcode.LOCK_GRANT_GLOBAL, 0)],
+        [(("coord", 1), Opcode.DECREASE_INDEXING_COUNTER, 0),
+         (("coord", 2), Opcode.DECREASE_INDEXING_COUNTER, 0)],
+    ]
+    assert coord.meta == {}
+    assert coord.counters.total() == 0
+
+
+@pytest.mark.parametrize("scheme, core_id", [
+    ("flat", 2),      # packed {unit 0, core 2}: the core slot no client uses
+    ("flat", 3),      # packed {unit 0, core 3}: no such core
+    ("syncron", 2),
+    ("hier", 2),      # the unit's server core
+])
+def test_request_from_non_client_core_id_rejected(scheme, core_id):
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
+    coord = Coordinator(cfg, 0, server=scheme == "hier")
+    with pytest.raises(ProtocolError):
+        coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, core_id, 0), ("core", 0, 2))
+
+
 # -- barriers ------------------------------------------------------------------
 
 

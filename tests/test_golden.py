@@ -129,6 +129,16 @@ GOLDEN_4X16 = {
 }
 ITERATIONS_4X16 = {"lock": 10, "condvar": 2}
 
+# syncron 4x4 with a small table: the master queues overflow waiters of
+# several units at once (linked_list), and hash_table at st_entries=1 makes
+# one grant choose between a unit's overflow core and a lower unit's aggregate.
+GOLDEN_4X4 = {
+    "syncron/hash_table/st1": "71e778242507e27ab41e473ab0a7efcba63e24a2b23d2f4917883c1093136dc6",
+    "syncron/hash_table/st4": "18b8b2b9081f4a72934643b18e6d9ed9a96532fdbda5f57e40dd1a915b5ad8b0",
+    "syncron/linked_list/st1": "64265568b19ee88514f21944076de1b86bd7c1cdd2929c9790148d01397a4408",
+    "syncron/linked_list/st4": "6f6f497b9e68b711a5617bc5cc439d2f9fae91448a3007f095b8ef16469e8aee",
+}
+
 
 def output_digest(rc: RunConfig) -> str:
     stats, sim = run_once(rc, trace=True)
@@ -169,4 +179,16 @@ def test_paper_size_outputs_match_golden_digests():
                 got[f"{scheme}/{workload}/st{st}"] = output_digest(rc)
     assert set(got) == set(GOLDEN_4X16)
     changed = sorted(name for name in got if got[name] != GOLDEN_4X16[name])
+    assert not changed, f"outputs changed for {changed}"
+
+
+def test_multi_unit_overflow_outputs_match_golden_digests():
+    got = {}
+    for workload in ("hash_table", "linked_list"):
+        for st in (1, 4):
+            rc = RunConfig(scheme="syncron", workload=workload, units=4, cores_per_unit=4,
+                           st_entries=st, seed=3)
+            got[f"syncron/{workload}/st{st}"] = output_digest(rc)
+    assert set(got) == set(GOLDEN_4X4)
+    changed = sorted(name for name in got if got[name] != GOLDEN_4X4[name])
     assert not changed, f"outputs changed for {changed}"

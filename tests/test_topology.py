@@ -1,8 +1,7 @@
 import pytest
 
 from ndpsync.errors import ConfigError
-from ndpsync.topology import (CoreId, SystemConfig, global_core_id,
-                              master_se_of, resolve_core)
+from ndpsync.topology import CoreId, SystemConfig, master_se_of
 
 GIB = 1024 * 1024 * 1024
 
@@ -33,27 +32,6 @@ def test_master_se_rejects_out_of_range():
         master_se_of(cfg, 4 * GIB)
     with pytest.raises(ConfigError):
         master_se_of(cfg, -1)
-
-
-def test_resolve_core_examples():
-    cfg = SystemConfig()
-    assert resolve_core(cfg, 17) == CoreId(1, 1)
-    assert resolve_core(cfg, 63) == CoreId(3, 15)
-    assert resolve_core(cfg, 0) == CoreId(0, 0)
-    with pytest.raises(ConfigError):
-        resolve_core(cfg, 64)
-    with pytest.raises(ConfigError):
-        resolve_core(cfg, -1)
-
-
-def test_global_core_id_roundtrip():
-    cfg = SystemConfig(num_units=3, cores_per_unit=5)
-    for g in range(cfg.total_cores):
-        assert global_core_id(cfg, resolve_core(cfg, g)) == g
-    with pytest.raises(ConfigError):
-        global_core_id(cfg, CoreId(3, 0))
-    with pytest.raises(ConfigError):
-        global_core_id(cfg, CoreId(0, 5))
 
 
 def test_clients_deterministic_order():
