@@ -12,7 +12,6 @@ from .messages import Message, Opcode, OpClass, encode, decode, classify_opcode,
 from .sync_table import SynchronizationTable, IndexingCounters, TableFull
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .sim import LatencyModel, EnergyModel, Stats
-from .cli import RunConfig, run_once
 
 __all__ = [
     "SystemConfig", "CoreId", "master_se_of",
@@ -22,3 +21,12 @@ __all__ = [
     "LatencyModel", "EnergyModel", "Stats",
     "RunConfig", "run_once",
 ]
+
+
+def __getattr__(name):
+    # Loaded on first use, so that `python -m ndpsync.cli` does not find the
+    # module already imported by its own package.
+    if name in ("RunConfig", "run_once"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

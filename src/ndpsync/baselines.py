@@ -1,15 +1,15 @@
 """Comparison-point building blocks.
 
-ServerCache models the private L1 through which a software synchronization
-server (schemes "hier" and "central") reads and updates variable state:
-256 lines of 64 bytes, LRU replacement. Misses fetch the line from the
-variable's home unit; the runtime charges those costs.
+ServerCache models the private L1 through which each coordinator whose
+service point is a software server (topology.SCHEME_AXES) reads and updates
+variable state: 256 lines of 64 bytes, LRU replacement. Misses fetch the
+line from the variable's home unit; the runtime charges those costs.
 
-IdealOracle is the zero-cost upper bound ("ideal" scheme): requests
-resolve instantly with no messages, no server occupancy and no energy,
-but the logical semantics (FIFO lock handoff, barrier episodes, semaphore
-counting, condvar sleep/wake with lock re-acquisition) are preserved so
-that workload digests still match the real schemes.
+IdealOracle is the zero-cost upper bound (the "ideal" scheme, which has no
+route): requests resolve instantly with no messages, no server occupancy
+and no energy, but the logical semantics (FIFO lock handoff, barrier
+episodes, semaphore counting, condvar sleep/wake with lock re-acquisition)
+are preserved so that workload digests still match the real schemes.
 """
 
 from __future__ import annotations

@@ -14,18 +14,18 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .sim import LatencyModel, Simulation, Stats
 from .topology import MEMORY_TECHS, MIB, SCHEMES, SystemConfig
 from .verifier import verify_trace
-from .workloads import WORKLOAD_NAMES, make_workload
+from .workloads import WORKLOAD_NAMES, check_memory_layout, make_workload
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +73,7 @@ _INT_SYSTEM_KEYS = ("units", "cores_per_unit", "clients_per_unit", "st_entries",
                     "index_counters", "inbox_depth", "unit_mem_mib")
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """One resolved simulation run: system shape, cost knobs, workload, seed."""
 
@@ -89,7 +89,7 @@ class RunConfig:
     memory: str = "hbm"
     link_latency_ns: float | None = None
     seed: int = 0
-    workload_params: dict = field(default_factory=dict)
+    workload_params: dict = dataclasses.field(default_factory=dict)
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(
@@ -107,29 +107,9 @@ class RunConfig:
     def latency_model(self) -> LatencyModel:
         return LatencyModel.create(self.memory, self.link_latency_ns)
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "workload": self.workload,
-            "units": self.units,
-            "cores_per_unit": self.cores_per_unit,
-            "clients_per_unit": self.clients_per_unit,
-            "st_entries": self.st_entries,
-            "index_counters": self.index_counters,
-            "inbox_depth": self.inbox_depth,
-            "unit_mem_mib": self.unit_mem_mib,
-            "memory": self.memory,
-            "link_latency_ns": self.link_latency_ns,
-            "seed": self.seed,
-            "workload_params": {k: self.workload_params[k]
-                                for k in sorted(self.workload_params)},
-        }
-
     def replace(self, **kw) -> "RunConfig":
-        d = self.to_dict()
-        d["workload_params"] = dict(self.workload_params)
-        d.update(kw)
-        return RunConfig(**d)
+        kw.setdefault("workload_params", dict(self.workload_params))
+        return dataclasses.replace(self, **kw)
 
 
 def run_once(rc: RunConfig, trace: bool = False):
@@ -142,7 +122,7 @@ def run_once(rc: RunConfig, trace: bool = False):
 
 
 def stats_payload(rc: RunConfig, stats: Stats) -> dict:
-    return {"config": rc.to_dict(), "stats": stats.to_dict()}
+    return {"config": dataclasses.asdict(rc), "stats": stats.to_dict()}
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -289,7 +269,7 @@ def main(argv=None) -> int:
         for rc in runs:  # a bad run anywhere in a sweep fails before any run
             if rc.workload not in WORKLOAD_NAMES:
                 raise ConfigError(f"unknown workload {rc.workload!r}; choose from {WORKLOAD_NAMES}")
-            rc.system_config()
+            check_memory_layout(rc.system_config())
             rc.latency_model()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

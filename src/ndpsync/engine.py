@@ -1,21 +1,20 @@
 """Coordinator state machines for every synchronization primitive.
 
-A Coordinator is one synchronization service point: the per-unit hardware
-engine (schemes "syncron" and "flat"), the per-unit software server
-("hier"), or the single global server ("central"). All schemes share the
-protocol logic below; they differ in routing (who receives core requests),
-backing store (fixed-capacity table with a memory fallback path versus an
-unbounded cache-modelled dict), and message cost, which the runtime
-charges.
+A Coordinator is one synchronization service point (topology.SCHEME_AXES):
+an engine, with a fixed-capacity table and a memory fallback path, or a
+software server, with an unbounded cache-modelled dict. All schemes share
+the protocol logic below; they differ in route (who receives core
+requests), service point, and message cost, which the runtime charges.
 
-Hierarchical operation (syncron/hier): cores talk only to their local
-coordinator; coordinators exchange *_global messages with the master of a
-variable (the unit whose memory holds it) and aggregate their local
-waiters so that one global message covers a whole unit. The master grants
-to its own local waiters first, then to units in ascending id order.
+Local routing: cores talk only to their own unit's coordinator;
+coordinators exchange *_global messages with the master of a variable and
+aggregate their local waiters so that one global message covers a whole
+unit. The master grants to its own local waiters first, then to units in
+ascending id order. Direct routing: every core sends to the master, which
+knows it by its packed {unit, core} id.
 
-Table overflow (syncron/flat): when a variable cannot live in the table,
-the master services it via a memory-resident record; non-master engines
+Table overflow (engines): when a variable cannot live in the table, the
+master services it via a memory-resident record; non-master engines
 redirect requests with *_overflow opcodes carrying a packed {unit, core}
 id and track the episode in their indexing counters until the master
 broadcasts decrease_indexing_counter at quiescence.
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import ProtocolError
 from .messages import (_CLASS, SYNC_REQUESTS, Message, OpClass, Opcode, core_id_bits,
-                       pack_core, unpack_core, wire_core_id)
+                       pack_core, unpack_core)
 from .sync_table import IndexingCounters, SynchronizationTable
 from .topology import SystemConfig, master_se_of
 
@@ -119,23 +118,21 @@ class Output:
 
 
 class Coordinator:
-    def __init__(self, cfg: SystemConfig, unit: int, server: bool):
+    def __init__(self, cfg: SystemConfig, unit: int):
         self.cfg = cfg
         self.unit = unit
-        self.server = server
-        # single: every request lands here directly (no inter-coordinator traffic)
-        self.flat = cfg.scheme in ("flat", "central")
-        self.central = cfg.scheme == "central"
-        self.table = None if server else SynchronizationTable(cfg.st_entries)
-        self.counters = None if server else IndexingCounters(cfg.index_counters)
+        self.server = cfg.server
+        # direct: cores of every unit send here, each request to its variable's master
+        self.direct = cfg.route == "direct"
+        self.table = None if self.server else SynchronizationTable(cfg.st_entries)
+        self.counters = None if self.server else IndexingCounters(cfg.index_counters)
         self.meta: dict[int, VarMeta] = {}
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
         self.core_bits = core_id_bits(cfg.cores_per_unit)
         # the cores whose requests come here, by the core id those requests carry
-        self.clients = {wire_core_id(cfg.scheme, c.unit, c.local, self.core_bits):
-                        ("core", c.unit, c.local)
-                        for c in cfg.clients() if self.flat or c.unit == unit}
+        self.clients = {cfg.wire_core_id(c.unit, c.local): ("core", c.unit, c.local)
+                        for c in cfg.clients() if self.direct or c.unit == unit}
 
     # -- identity and sending --------------------------------------------------
 
@@ -143,10 +140,7 @@ class Coordinator:
         return ("coord", self.unit)
 
     def is_master_for(self, addr: int) -> bool:
-        return self.central or master_se_of(self.cfg, addr) == self.unit
-
-    def _coord_node(self, unit: int):
-        return ("coord", 0) if self.central else ("coord", unit)
+        return master_se_of(self.cfg, addr) == self.unit
 
     def _client(self, core_id: int):
         """Node of the client core that sends `core_id` here."""
@@ -161,7 +155,7 @@ class Coordinator:
 
     def _to_unit(self, out: Output, unit: int, addr: int, op: Opcode, core_id: int,
                  info: int = 0) -> None:
-        out.sends.append((self._coord_node(unit), Message(addr, op, core_id, info)))
+        out.sends.append((("coord", unit), Message(addr, op, core_id, info)))
 
     def _to_master(self, out: Output, addr: int, op: Opcode, info: int = 0) -> None:
         """A *_global request for `addr`'s master, sent on behalf of this unit."""
@@ -527,7 +521,7 @@ class Coordinator:
             raise ProtocolError(f"core {node} arrived twice at barrier {addr:#x}")
         meta.locals |= 1 << core_id
 
-        single_point = self.flat or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
+        single_point = self.direct or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
         if single_point:
             meta.arrivals += 1
             if meta.arrivals == meta.target:
@@ -783,7 +777,7 @@ class Coordinator:
         """Wake one waiter: re-acquire its lock, then deliver the cond grant."""
         if lock_addr == 0:
             raise ProtocolError(f"condvar {cv_addr:#x} woken without an associated lock")
-        if self.cfg.scheme == "flat" and master_se_of(self.cfg, lock_addr) != self.unit:
+        if self.direct and master_se_of(self.cfg, lock_addr) != self.unit:
             # the lock lives at another master: re-acquire over the wire
             self._to_unit(out, master_se_of(self.cfg, lock_addr), lock_addr,
                           Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr)

@@ -8,7 +8,7 @@ A message is 18 bytes:
     bytes 10..17  64-bit info field, little-endian
 
 The core id is the sender's local index within its unit; overflow
-messages (and requests sent across units under flat/central routing)
+messages (and every request under direct routing, see topology)
 pack {unit id, local core id} into the same 6 bits. The info field
 carries the per-primitive argument: barrier participant count, semaphore
 initial resources, the lock address associated with a condition-variable
@@ -211,13 +211,3 @@ def core_id_bits(cores_per_unit: int) -> int:
     """Width of the local-core part of a packed {unit, core} id."""
     return max(1, (cores_per_unit - 1).bit_length())
 
-
-def wire_core_id(scheme: str, unit: int, local: int, core_bits: int) -> int:
-    """Core id on a request from that core under `scheme`.
-
-    Under flat and central routing one coordinator serves cores of several
-    units, so the id packs {unit, core}; otherwise it is the local index.
-    """
-    if scheme in ("flat", "central"):
-        return pack_core(unit, local, core_bits)
-    return local

@@ -31,8 +31,7 @@ from heapq import heappop, heappush
 from .baselines import IdealOracle, ServerCache
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
-from .messages import (MESSAGE_BYTES, SYNC_REQUESTS, Message, Opcode, core_id_bits,
-                       encode, wire_core_id)
+from .messages import MESSAGE_BYTES, SYNC_REQUESTS, Message, Opcode, encode
 from .topology import CoreId, SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
@@ -345,9 +344,9 @@ class Network:
 
 
 class _Core:
-    __slots__ = ("core", "gen", "blocked", "done", "node", "key", "wire_id")
+    __slots__ = ("core", "gen", "blocked", "done", "node", "key", "wire_id", "dst")
 
-    def __init__(self, core: CoreId, gen, key: int, wire_id: int):
+    def __init__(self, core: CoreId, gen, key: int, wire_id: int, dst):
         self.core = core
         self.gen = gen
         self.blocked = None
@@ -355,6 +354,7 @@ class _Core:
         self.node = ("core", core.unit, core.local)
         self.key = key
         self.wire_id = wire_id  # core id on this core's requests
+        self.dst = dst  # coordinator node of its requests; None: each variable's master
 
 
 class _Coord:
@@ -377,11 +377,11 @@ class Simulation:
     """Drives per-core programs against the configured scheme's coordinators."""
 
     def __init__(self, cfg: SystemConfig, workload, latency: LatencyModel | None = None,
-                 energy: EnergyModel | None = None, trace: bool = False):
+                 trace: bool = False):
         self.cfg = cfg
         self.workload = workload
         self.lat = latency or LatencyModel.create(cfg.memory)
-        self.en = energy or EnergyModel()
+        self.en = EnergyModel()
         self.stats = Stats()
         self.network = Network(cfg, self.lat, self.en, self.stats)
         self.trace_enabled = trace
@@ -394,30 +394,22 @@ class Simulation:
         self._sent = [0] * len(_OPCODE_NAMES)  # messages sent, by opcode value
 
         programs = workload.programs()
-        bits = core_id_bits(cfg.cores_per_unit)
         self.cores: dict[CoreId, _Core] = {}
         for c in cfg.clients():  # in (unit, local) order
             gen = programs.get(c)
             if gen is None:
                 break
             self.cores[c] = _Core(c, gen, c.unit * cfg.cores_per_unit + c.local,
-                                  wire_core_id(cfg.scheme, c.unit, c.local, bits))
+                                  cfg.wire_core_id(c.unit, c.local),
+                                  None if cfg.route == "direct" else ("coord", c.unit))
         clients = cfg.total_clients
         if len(self.cores) != clients or len(programs) != clients:
             raise ProtocolError("workload programs do not cover exactly the client cores")
         self._pending = len(self.cores)
 
-        self.coords: dict[int, _Coord] = {}
-        self.oracle = None
-        if cfg.scheme == "ideal":
-            self.oracle = IdealOracle(self._ideal_wake)
-        elif cfg.scheme == "central":
-            self.coords[0] = _Coord(Coordinator(cfg, 0, server=True), ServerCache())
-        else:
-            server = cfg.scheme == "hier"
-            for u in range(cfg.num_units):
-                self.coords[u] = _Coord(Coordinator(cfg, u, server=server),
-                                        ServerCache() if server else None)
+        self.coords = {u: _Coord(Coordinator(cfg, u), ServerCache() if cfg.server else None)
+                       for u in cfg.coord_units}
+        self.oracle = IdealOracle(self._oracle_wake) if cfg.route is None else None
         # every message endpoint by node tuple
         self._at = {crt.node: crt for crt in (*self.cores.values(), *self.coords.values())}
 
@@ -546,20 +538,12 @@ class Simulation:
             if not self._issue(crt, step, t):
                 return
 
-    def _dst_for(self, core: CoreId, addr: int):
-        scheme = self.cfg.scheme
-        if scheme == "central":
-            return ("coord", 0)
-        if scheme == "flat":
-            return ("coord", master_se_of(self.cfg, addr))
-        return ("coord", core.unit)
-
     def _issue(self, crt: _Core, step, t: int) -> bool:
         """Issue one synchronization step; True if the core keeps running.
 
-        A blocking step sets crt.blocked. The ideal scheme hands each step to
-        the oracle, which may grant a blocking step at once; every other
-        scheme sends the request to the core's coordinator.
+        A blocking step sets crt.blocked. Without routing (the ideal scheme)
+        each step goes to the oracle, which may grant a blocking step at
+        once; otherwise the request goes to the core's coordinator.
         """
         core = crt.core
         kind = step[0]
@@ -630,7 +614,8 @@ class Simulation:
         else:
             raise ProtocolError(f"unknown workload step {kind!r}")
 
-        self._send(crt.node, self._dst_for(core, addr), Message(addr, opc, crt.wire_id, info), t)
+        dst = crt.dst or self.coords[master_se_of(self.cfg, addr)].node
+        self._send(crt.node, dst, Message(addr, opc, crt.wire_id, info), t)
         return crt.blocked is None
 
     # -- coordinators --------------------------------------------------------------------
@@ -731,9 +716,9 @@ class Simulation:
         if crt.inbox and not crt.busy:
             self._start_service(crt, t)
 
-    # -- ideal scheme ------------------------------------------------------------------------
+    # -- oracle ------------------------------------------------------------------------------
 
-    def _ideal_wake(self, core: CoreId, kind: str, addr: int, lock: int) -> None:
+    def _oracle_wake(self, core: CoreId, kind: str, addr: int, lock: int) -> None:
         """Oracle wake callback: the grant reaches the core as a message would.
 
         A cond wake's lock is the one the core named in its wait, which

@@ -1,31 +1,34 @@
-"""System shape: memory units, cores, and variable-to-unit ownership.
+"""System shape, scheme policy, and variable-to-unit ownership.
 
 Memory is partitioned contiguously across units. The unit whose memory
 holds an address owns that address: its synchronization engine (or
 per-unit server, depending on the scheme) is the master coordinator for
-every synchronization variable stored there.
+every synchronization variable stored there. The one global server
+(direct routing to a server) masters every address instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .messages import CORE_ID_LIMIT, core_id_bits
+from .messages import CORE_ID_LIMIT, core_id_bits, pack_core
 
 MIB = 1024 * 1024
 
-SCHEMES = ("syncron", "flat", "central", "hier", "ideal")
+# Each scheme as (route, service point). Route "local": a core sends to its own
+# unit's coordinator, which aggregates toward the master; "direct": straight to
+# the master; None: no messages (zero-cost oracle). Service point "engine": a
+# fixed-size table with a memory overflow path; "server": a software server core.
+SCHEME_AXES = {
+    "syncron": ("local", "engine"),
+    "flat": ("direct", "engine"),
+    "central": ("direct", "server"),
+    "hier": ("local", "server"),
+    "ideal": (None, None),
+}
+SCHEMES = tuple(SCHEME_AXES)
 MEMORY_TECHS = ("hbm", "hmc", "ddr4")
-
-# Schemes that dedicate one core per unit (hier) or one core in the whole
-# system (central) as a software synchronization server.
-SERVER_SCHEMES = ("central", "hier")
-
-# Schemes whose requests can carry a packed {unit, core} id: flat and central
-# routing on every request, syncron on its table-overflow path. hier sends
-# only the local id; the ideal scheme sends no messages.
-PACKED_ID_SCHEMES = ("syncron", "flat", "central")
 
 
 @dataclass(frozen=True, order=True)
@@ -38,7 +41,11 @@ class CoreId:
 
 @dataclass
 class SystemConfig:
-    """Static system description; validated on construction."""
+    """Static system description; validated on construction.
+
+    `route`, `server` and `one_master` are derived from `scheme` through
+    SCHEME_AXES when the config is built.
+    """
 
     num_units: int = 4
     cores_per_unit: int = 16
@@ -53,17 +60,21 @@ class SystemConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        # a direct-routed server is the one global server, on unit 0
+        self.route, service = SCHEME_AXES[self.scheme]
+        self.server = service == "server"
+        self.one_master = self.route == "direct" and self.server
         if self.memory not in MEMORY_TECHS:
             raise ConfigError(f"unknown memory tech {self.memory!r}, expected one of {MEMORY_TECHS}")
         if self.num_units < 1:
             raise ConfigError("num_units must be >= 1")
         if self.cores_per_unit < 1:
             raise ConfigError("cores_per_unit must be >= 1")
-        if self.scheme in SERVER_SCHEMES and self.cores_per_unit < 2:
+        if self.server and self.cores_per_unit < 2:
             raise ConfigError(f"scheme {self.scheme!r} needs cores_per_unit >= 2 (a server core must exist)")
         if self.clients_per_unit is None:
             self.clients_per_unit = self.cores_per_unit - 1 if self.cores_per_unit > 1 else 1
-        limit = self.cores_per_unit - 1 if self.scheme in SERVER_SCHEMES else self.cores_per_unit
+        limit = self.cores_per_unit - 1 if self.server else self.cores_per_unit
         if not 1 <= self.clients_per_unit <= limit:
             raise ConfigError(
                 f"clients_per_unit={self.clients_per_unit} out of range [1, {limit}] for scheme {self.scheme!r}")
@@ -75,7 +86,7 @@ class SystemConfig:
             raise ConfigError("unit_mem_bytes must be >= 1")
         if self.inbox_depth < 1:
             raise ConfigError("inbox_depth must be >= 1")
-        if self.scheme != "ideal":
+        if self.route is not None:
             self._check_core_id_width()
 
     def _check_core_id_width(self) -> None:
@@ -85,7 +96,7 @@ class SystemConfig:
         fail later depending on whether, say, the overflow path fires.
         """
         top = self.clients_per_unit - 1
-        if self.scheme in PACKED_ID_SCHEMES:
+        if self.route == "direct" or not self.server:  # an engine packs on its overflow path
             top |= (self.num_units - 1) << core_id_bits(self.cores_per_unit)
         if top >= CORE_ID_LIMIT:
             raise ConfigError(
@@ -93,7 +104,21 @@ class SystemConfig:
                 f"cores ({self.clients_per_unit} clients per unit) needs core id {top}, "
                 f"which does not fit the 6-bit wire field")
 
+    def wire_core_id(self, unit: int, local: int) -> int:
+        """Core id on the requests of core (unit, local): {unit, core} packed
+        under direct routing, where a coordinator serves every unit's cores."""
+        if self.route == "direct":
+            return pack_core(unit, local, core_id_bits(self.cores_per_unit))
+        return local
+
     # -- derived quantities ------------------------------------------------
+
+    @property
+    def coord_units(self) -> range:
+        """Units that host a coordinator; none when no messages are sent."""
+        if self.route is None:
+            return range(0)
+        return range(1 if self.one_master else self.num_units)
 
     @property
     def total_cores(self) -> int:
@@ -111,14 +136,11 @@ class SystemConfig:
         """Client cores in deterministic (unit, local) order."""
         return [CoreId(u, l) for u in range(self.num_units) for l in range(self.clients_per_unit)]
 
-    def server_core(self, unit: int) -> CoreId:
-        """The per-unit server slot (last core of the unit)."""
-        return CoreId(unit, self.cores_per_unit - 1)
-
 
 def master_se_of(cfg: SystemConfig, addr: int) -> int:
-    """Unit whose engine masters `addr` (contiguous partitioning)."""
+    """Unit whose coordinator masters `addr`: the unit whose memory holds it
+    (contiguous partitioning), or unit 0 for the one global server."""
     unit = addr // cfg.unit_mem_bytes
     if addr < 0 or unit >= cfg.num_units:
         raise ConfigError(f"address {addr:#x} outside system memory (0..{cfg.total_mem_bytes:#x})")
-    return unit
+    return 0 if cfg.one_master else unit

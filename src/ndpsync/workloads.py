@@ -426,10 +426,18 @@ _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, Condva
                                  StackPush, QueuePop, ArrayMap, HashTable, LinkedList)}
 
 
+def check_memory_layout(cfg: SystemConfig) -> None:
+    """Reject units too small to hold the data region every unit carries."""
+    if cfg.unit_mem_bytes <= _DATA_REGION:
+        raise ConfigError(f"unit memory of {cfg.unit_mem_bytes:#x} bytes ends before the "
+                          f"workload data region at {_DATA_REGION:#x} (64 MiB)")
+
+
 def make_workload(cfg: SystemConfig, name: str, seed: int = 0,
                   params: dict | None = None) -> Workload:
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}") from None
+    check_memory_layout(cfg)
     return cls(cfg, seed, params)

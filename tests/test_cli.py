@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ndpsync
 from ndpsync import cli
 from ndpsync.errors import ConfigError
 
@@ -203,3 +208,31 @@ def test_bad_shape_later_in_sweep_exits_2_before_first_run(tmp_path, capsys, arg
     out, err = capsys.readouterr()
     assert "[0]" not in out and fragment in err
     assert not any(tmp_path.iterdir())
+
+
+def test_unit_memory_below_data_region_exits_2_before_first_run(tmp_path, capsys):
+    # workload data lines start 64 MiB into each unit
+    ini = tmp_path / "small.ini"
+    ini.write_text("[system]\nunits = 2\ncores_per_unit = 4\nunit_mem_mib = 64\n")
+    out = tmp_path / "out"
+    rv = cli.main(["--config", str(ini), "--sweep", "workload=lock,hash_table",
+                   "--out", str(out)])
+    assert rv == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and "data region" in err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    src = str(Path(ndpsync.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ndpsync.cli", *SMALL,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stats.json").exists()
+    # the package still exports the CLI's library entry points
+    assert (ndpsync.RunConfig, ndpsync.run_once) == (cli.RunConfig, cli.run_once)
+    with pytest.raises(AttributeError):
+        ndpsync.no_such_name

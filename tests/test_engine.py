@@ -141,7 +141,7 @@ def test_entry_migrates_to_memory_when_overflow_request_arrives():
 
 def test_decrease_at_zero_counter_rejected():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
-    coord = Coordinator(cfg, 1, server=False)
+    coord = Coordinator(cfg, 1)
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.DECREASE_INDEXING_COUNTER, 0, 0), ("coord", 0))
 
@@ -151,7 +151,7 @@ def test_decrease_at_zero_counter_rejected():
 
 def test_release_by_non_owner_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     out = coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
     assert any(m.opcode is Opcode.LOCK_GRANT_LOCAL for _, m in out.sends)
     with pytest.raises(ProtocolError):
@@ -160,7 +160,7 @@ def test_release_by_non_owner_rejected():
 
 def test_release_global_by_non_owner_rejected():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0), ("coord", 1))
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
@@ -171,7 +171,7 @@ def test_release_global_by_non_owner_rejected():
 def test_release_with_parked_waiter_rejected(scheme):
     # a table- or server-backed variable must not be freed while a core waits on it
     cfg = SystemConfig(num_units=1, cores_per_unit=3, scheme=scheme)
-    coord = Coordinator(cfg, 0, server=scheme == "hier")
+    coord = Coordinator(cfg, 0)
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0), ("core", 0, 1))
     with pytest.raises(ProtocolError):
@@ -180,7 +180,7 @@ def test_release_with_parked_waiter_rejected(scheme):
 
 def test_grant_goes_local_first_then_ascending_units():
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     addr = 64
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0), ("coord", 3))  # owner
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 2, 0), ("coord", 2))
@@ -206,7 +206,7 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
     # lock; units 1 and 3 wait as aggregates, a core each of units 1 and 2
     # waits through the overflow path, which moves the lock into memory
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     addr = 64
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0), ("coord", 3))
@@ -244,7 +244,7 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
 ])
 def test_request_from_non_client_core_id_rejected(scheme, core_id):
     cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
-    coord = Coordinator(cfg, 0, server=scheme == "hier")
+    coord = Coordinator(cfg, 0)
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, core_id, 0), ("core", 0, 2))
 
@@ -282,7 +282,7 @@ def test_one_level_barrier_forwards_every_wait():
 
 def test_barrier_double_arrival_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     msg = Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 0, 2)
     coord.handle(msg, ("core", 0, 0))
     with pytest.raises(ProtocolError):
@@ -291,7 +291,7 @@ def test_barrier_double_arrival_rejected():
 
 def test_barrier_target_mismatch_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=4)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 0, 2), ("core", 0, 0))
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 1, 3), ("core", 0, 1))
@@ -320,7 +320,7 @@ def test_semaphore_grants_local_first_and_bounded():
 
 def test_semaphore_initial_resources_mismatch_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 0, 2), ("core", 0, 0))
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 1, 3), ("core", 0, 1))
@@ -384,6 +384,6 @@ def test_lost_signal_returns_without_wake():
 
 def test_cond_wait_requires_lock_address():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
-    coord = Coordinator(cfg, 0, server=False)
+    coord = Coordinator(cfg, 0)
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.COND_WAIT_LOCAL, 0, 0), ("core", 0, 0))

@@ -367,3 +367,52 @@ def test_widest_packed_core_id_encodes():
     stats = sim.run()
     assert stats.sync_overflowed > 0
     assert len(sim.wire_log) == 18 * (stats.messages_intra + stats.messages_inter)
+
+
+# -- scheme axes -----------------------------------------------------------------
+
+# per scheme on 2 units x 3 cores: coordinator units, whether they are software
+# servers, whether wire ids pack {unit, core}, and the unit whose coordinator
+# receives core (0, 0)'s requests for a lock homed on unit 1
+AXES = {
+    "syncron": ({0, 1}, False, False, 0),
+    "flat": ({0, 1}, False, True, 1),
+    "central": ({0}, True, True, 0),
+    "hier": ({0, 1}, True, False, 0),
+    "ideal": (set(), None, False, None),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_simulation_follows_scheme_axes(scheme):
+    units, server, packed, receiver = AXES[scheme]
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
+    lock = cfg.unit_mem_bytes + 0x10_000
+    sim = Simulation(cfg, Script(cfg, {0: [("lock_acquire", lock), ("lock_release", lock)]}))
+    assert set(sim.coords) == units
+    assert (sim.oracle is not None) == (scheme == "ideal")
+    for crt in sim.coords.values():
+        assert (crt.coordinator.table is None, crt.cache is not None) == (server, server)
+    for core, crt in sim.cores.items():
+        assert crt.wire_id == (core.unit << 2 | core.local if packed else core.local)
+    sent = []
+
+    def record(msg, src, dst):
+        if src[0] == "core":
+            sent.append((msg.opcode, dst))
+        return False
+
+    sim.drop_filter = record
+    sim.run()
+    assert sent == ([] if receiver is None else
+                    [(Opcode.LOCK_ACQUIRE_LOCAL, ("coord", receiver)),
+                     (Opcode.LOCK_RELEASE_LOCAL, ("coord", receiver))])
+
+
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "ideal"])
+def test_sync_address_outside_memory_rejected(scheme):
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
+    lock = 2 * cfg.unit_mem_bytes + 64
+    sim = Simulation(cfg, Script(cfg, {0: [("lock_acquire", lock), ("lock_release", lock)]}))
+    with pytest.raises(ConfigError, match="outside system memory"):
+        sim.run()

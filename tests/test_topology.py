@@ -37,7 +37,6 @@ def test_master_se_rejects_out_of_range():
 def test_clients_deterministic_order():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
     assert cfg.clients() == [CoreId(0, 0), CoreId(0, 1), CoreId(1, 0), CoreId(1, 1)]
-    assert cfg.server_core(1) == CoreId(1, 2)
 
 
 def test_clients_per_unit_uniform_across_schemes():
