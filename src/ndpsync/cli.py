@@ -22,10 +22,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .sim import LatencyModel, Simulation, Stats
+from .sim import LatencyModel, Simulation, Stats, trace_jsonl
 from .topology import MEMORY_TECHS, MIB, SCHEMES, SystemConfig
 from .verifier import verify_trace
-from .workloads import WORKLOAD_NAMES, check_memory_layout, make_workload
+from .workloads import WORKLOAD_NAMES, check_workload, make_workload
 
 SCHEMA_VERSION = 1
 
@@ -249,9 +249,8 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_trace(out: Path, suffix: str, sim: Simulation) -> None:
-    lines = [json.dumps(rec.to_json_dict(), sort_keys=True) for rec in sim.trace]
-    (out / f"trace{suffix}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    (out / f"trace{suffix}.bin").write_bytes(bytes(sim.wire_log))
+    (out / f"trace{suffix}.jsonl").write_text(trace_jsonl(sim.trace))
+    (out / f"trace{suffix}.bin").write_bytes(sim.wire_log)
 
 
 # -- entry point ------------------------------------------------------------------
@@ -267,9 +266,7 @@ def main(argv=None) -> int:
                 setattr(base, attr, value)
         runs = expand_runs(base, parse_sweeps(args.sweep))
         for rc in runs:  # a bad run anywhere in a sweep fails before any run
-            if rc.workload not in WORKLOAD_NAMES:
-                raise ConfigError(f"unknown workload {rc.workload!r}; choose from {WORKLOAD_NAMES}")
-            check_memory_layout(rc.system_config())
+            check_workload(rc.system_config(), rc.workload, rc.workload_params)
             rc.latency_model()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,16 @@ are clamped to be non-decreasing per (source, destination) pair, which the
 overflow protocol relies on (a grant must not overtake the episode-closing
 counter decrease).
 
+The crossbar's sliding window is an approximation. Each unit's window holds
+segment start times in append order, and some of those times lie in the
+future: a crossing made for a later instant, such as a memory reply, is
+appended when it is computed. _queue_delay_ps drops entries only while the
+head has expired, so an expired entry behind a later-dated head still counts
+as busy. A time-ordered window that drops every expired entry moved time_ps
+by -1.04 % (syncron hash_table) to +0.72 % (hier hash_table) over 4 schemes x
+5 workloads at 4x16 and seed 3, and changed no saturation count. Adopting it
+is a declared result change, left for a change of its own.
+
 Event ordering is total and deterministic: (time, kind rank, node key,
 sequence number). The rank serves message arrivals before compute, memory
 and service completions at the same instant. The node key belongs to the
@@ -232,6 +242,18 @@ class TraceRecord:
     def to_json_dict(self) -> dict:
         return {"t": self.t, "kind": self.kind, "unit": self.unit,
                 "local": self.local, "addr": self.addr, "info": self.info}
+
+
+# One trace.jsonl line per record: the bytes of json.dumps(rec.to_json_dict(),
+# sort_keys=True) and a newline. Kinds are plain identifiers, so "%s" needs no
+# JSON escaping.
+_JSONL_LINE = '{"addr": %d, "info": %d, "kind": "%s", "local": %d, "t": %d, "unit": %d}\n'
+
+
+def trace_jsonl(trace) -> str:
+    """The trace.jsonl text of `trace`; empty for no records."""
+    line = _JSONL_LINE
+    return "".join([line % (r.addr, r.info, r.kind, r.local, r.t, r.unit) for r in trace])
 
 
 class Network:

@@ -41,16 +41,35 @@ def _canon_digest(payload) -> str:
 
 
 class Workload:
-    """Base: addressing helpers and the program/digest contract."""
+    """Base: addressing helpers and the program/digest contract.
+
+    Each integer parameter in `defaults` becomes an attribute of the same
+    name, taken from `params` when given there.
+    """
 
     name = "base"
+    defaults: dict[str, int] = {}
 
     def __init__(self, cfg: SystemConfig, seed: int, params: dict | None = None):
         self.cfg = cfg
         self.seed = seed
         self.params = dict(params or {})
+        # setattr, not vars(self).update: a materialised __dict__ slows every
+        # later attribute read in the generators
+        for key, value in self._resolve(self.params).items():
+            setattr(self, key, value)
         self.completed_ops = 0
         self._spawned = False
+
+    @classmethod
+    def _resolve(cls, params: dict) -> dict[str, int]:
+        return {key: int(params.get(key, default)) for key, default in cls.defaults.items()}
+
+    @classmethod
+    def top_offset(cls, cfg: SystemConfig, params: dict) -> int:
+        """Byte offset, within its unit, of the highest line the workload
+        touches, from the configuration alone. Default: sync slot 0."""
+        return _SYNC_REGION
 
     # one generator per client core; single use per instance
     def programs(self) -> dict[CoreId, object]:
@@ -80,20 +99,15 @@ class Workload:
     def _rng(self, idx: int) -> random.Random:
         return random.Random(self.seed * 1_000_003 + idx)
 
-    def _param(self, key: str, default):
-        return self.params.get(key, default)
-
 
 class LockMicro(Workload):
     """Every client repeatedly acquires one lock after local compute."""
 
     name = "lock"
+    defaults = {"iterations": 50, "interval": 200, "cs_instr": 0}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.iterations = int(self._param("iterations", 50))
-        self.interval = int(self._param("interval", 200))
-        self.cs_instr = int(self._param("cs_instr", 0))
         self.lock = self._sync_addr(0, 0)
         self.grants: list[int] = [0] * cfg.total_clients
 
@@ -124,12 +138,11 @@ class BarrierMicro(Workload):
     """
 
     name = "barrier"
+    defaults = {"iterations": 20, "interval": 200}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.iterations = int(self._param("iterations", 20))
-        self.interval = int(self._param("interval", 200))
-        self.participants = int(self._param("participants", cfg.total_clients))
+        self.participants = int(self.params.get("participants", cfg.total_clients))
         if not 0 < self.participants <= cfg.total_clients:
             raise ConfigError("participants must be in 1..total clients")
         self.bar = self._sync_addr(0, 0)
@@ -157,12 +170,10 @@ class SemaphoreMicro(Workload):
     """First half of the clients consume resources, second half produce."""
 
     name = "semaphore"
+    defaults = {"iterations": 30, "interval": 200, "sem_initial": 2}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.iterations = int(self._param("iterations", 30))
-        self.interval = int(self._param("interval", 200))
-        self.initial = int(self._param("sem_initial", 2))
         self.sem = self._sync_addr(0, 0)
         self.n_consumers = cfg.total_clients // 2
         self.consumed: list[int] = [0] * cfg.total_clients
@@ -171,7 +182,7 @@ class SemaphoreMicro(Workload):
         if idx < self.n_consumers:
             for _ in range(self.iterations):
                 yield ("compute", self.interval)
-                yield ("sem_wait", self.sem, self.initial)
+                yield ("sem_wait", self.sem, self.sem_initial)
                 self.consumed[idx] += 1
                 self.completed_ops += 1
         else:
@@ -190,17 +201,19 @@ class CondvarMicro(Workload):
     every waiter has been woken its full number of iterations."""
 
     name = "condvar"
+    defaults = {"iterations": 10, "interval": 200, "signal_cap": 100_000}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.iterations = int(self._param("iterations", 10))
-        self.interval = int(self._param("interval", 200))
-        self.signal_cap = int(self._param("signal_cap", 100_000))
         self.lock = self._sync_addr(0, 0)
         self.cv = self._sync_addr(0, 1)
         self.n_waiters = max(1, cfg.total_clients // 2)
         self.wakes: list[int] = [0] * cfg.total_clients
         self._woken_total = 0
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        return _SYNC_REGION + _LINE  # the condition variable, sync slot 1
 
     def _program(self, core, idx):
         if idx < self.n_waiters:
@@ -228,14 +241,18 @@ class StackPush(Workload):
     """One coarse lock protects a global stack; every client pushes."""
 
     name = "stack"
+    defaults = {"ops_per_core": 20, "gap": 150}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.ops_per_core = int(self._param("ops_per_core", 20))
-        self.gap = int(self._param("gap", 150))
         self.lock = self._sync_addr(0, 0)
         self.head_addr = self._data_addr(0, 0)
         self.items: list[list[int]] = []
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
+        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _slot_addr(last)
 
     def _slot_addr(self, slot: int) -> int:
         u = slot % self.cfg.num_units
@@ -265,16 +282,20 @@ class QueuePop(Workload):
     """Clients drain a pre-filled queue under a head lock."""
 
     name = "queue"
+    defaults = {"ops_per_core": 20, "gap": 150}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.ops_per_core = int(self._param("ops_per_core", 20))
-        self.gap = int(self._param("gap", 150))
         self.head_lock = self._sync_addr(0, 0)
         self.head_ptr_addr = self._data_addr(0, 0)
         total = cfg.total_clients * self.ops_per_core
         self.values = list(range(total + 8))
         self.head = 0
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
+        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _elem_addr(last)
 
     def _elem_addr(self, i: int) -> int:
         u = i % self.cfg.num_units
@@ -304,15 +325,17 @@ class ArrayMap(Workload):
     """Fixed-size map under one coarse lock; long critical sections."""
 
     name = "array_map"
+    defaults = {"ops_per_core": 20, "gap": 150, "cs_accesses": 10, "slots": 64}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.ops_per_core = int(self._param("ops_per_core", 20))
-        self.gap = int(self._param("gap", 150))
-        self.cs_accesses = int(self._param("cs_accesses", 10))
-        self.slots = int(self._param("slots", 64))
         self.lock = self._sync_addr(0, 0)
         self.cells = [0] * self.slots
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        last = cls._resolve(params)["slots"] - 1
+        return _DATA_REGION + (last // cfg.num_units) * _LINE  # _slot_addr(last)
 
     def _slot_addr(self, s: int) -> int:
         u = s % self.cfg.num_units
@@ -342,13 +365,17 @@ class HashTable(Workload):
     """Per-bucket locks spread across the units; fine-grained inserts."""
 
     name = "hash_table"
+    defaults = {"ops_per_core": 20, "gap": 150, "buckets": 64}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.ops_per_core = int(self._param("ops_per_core", 20))
-        self.gap = int(self._param("gap", 150))
-        self.buckets = int(self._param("buckets", 64))
         self.chains: list[list[int]] = [[] for _ in range(self.buckets)]
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        # the last bucket's deepest data line lies above every bucket lock
+        last = cls._resolve(params)["buckets"] - 1
+        return _DATA_REGION + (0x1000 + (last // cfg.num_units) * 8 + 7) * _LINE
 
     def _bucket_lock(self, b: int) -> int:
         u = b % self.cfg.num_units
@@ -390,13 +417,15 @@ class LinkedList(Workload):
     """
 
     name = "linked_list"
+    defaults = {"ops_per_core": 10, "gap": 150, "nodes": 32}
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
-        self.ops_per_core = int(self._param("ops_per_core", 10))
-        self.gap = int(self._param("gap", 150))
-        self.nodes = int(self._param("nodes", 32))
         self.visits = [0] * self.nodes
+
+    @classmethod
+    def top_offset(cls, cfg, params):
+        return _SYNC_REGION + (0x400 + cls._resolve(params)["nodes"] - 1) * _LINE
 
     def _node_addr(self, i: int) -> int:
         u = min(i * self.cfg.num_units // self.nodes, self.cfg.num_units - 1)
@@ -426,18 +455,22 @@ _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, Condva
                                  StackPush, QueuePop, ArrayMap, HashTable, LinkedList)}
 
 
-def check_memory_layout(cfg: SystemConfig) -> None:
-    """Reject units too small to hold the data region every unit carries."""
+def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:
+    """Reject an unknown workload, or units too small to hold the data region
+    every unit carries or the workload's highest line. O(1): builds nothing."""
+    cls = _REGISTRY.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}")
     if cfg.unit_mem_bytes <= _DATA_REGION:
         raise ConfigError(f"unit memory of {cfg.unit_mem_bytes:#x} bytes ends before the "
                           f"workload data region at {_DATA_REGION:#x} (64 MiB)")
+    end = cls.top_offset(cfg, params or {}) + _LINE
+    if end > cfg.unit_mem_bytes:
+        raise ConfigError(f"workload {name!r} with these parameters reaches {end:#x} bytes "
+                          f"into a unit, past its {cfg.unit_mem_bytes:#x} bytes of memory")
 
 
 def make_workload(cfg: SystemConfig, name: str, seed: int = 0,
                   params: dict | None = None) -> Workload:
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}") from None
-    check_memory_layout(cfg)
-    return cls(cfg, seed, params)
+    check_workload(cfg, name, params)
+    return _REGISTRY[name](cfg, seed, params)

@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ndpsync
 from ndpsync import cli
+from ndpsync.engine import WAKE_ALL
 from ndpsync.errors import ConfigError
+from ndpsync.sim import TraceRecord
 
 SMALL = ["--units", "2", "--cores-per-unit", "4"]
 
@@ -126,6 +129,49 @@ def test_identical_invocations_are_byte_identical(tmp_path):
         assert read(out_a / name) == read(out_b / name), name
 
 
+TRACE_KINDS = {"msg_send", "msg_recv", "cs_enter", "cs_exit", "cond_sleep", "cond_wake",
+               "sem_acquire", "sem_release", "barrier_arrive", "barrier_depart", "mem_op",
+               "st_reserve", "st_release"}
+
+
+def reference_jsonl(trace) -> bytes:
+    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in trace).encode()
+
+
+def test_trace_jsonl_is_the_reference_encoding_of_every_kind(tmp_path, monkeypatch):
+    sims = []
+    real_run_once = cli.run_once
+
+    def keep(rc, trace=False):
+        sims.append(real_run_once(rc, trace))
+        return sims[-1]
+
+    monkeypatch.setattr(cli, "run_once", keep)
+    out = tmp_path / "out"
+    rv = cli.main(SMALL + ["--trace", "--sweep", "workload=stack,barrier,semaphore,condvar",
+                           "--out", str(out)])
+    assert rv == 0 and len(sims) == 4
+    kinds = set()
+    for index, (_, sim) in enumerate(sims):
+        assert read(out / f"trace_{index:03d}.jsonl") == reference_jsonl(sim.trace)
+        kinds.update(r.kind for r in sim.trace)
+    assert kinds == TRACE_KINDS
+    for kind in kinds:  # written unescaped, so no kind may need escaping
+        assert json.dumps(kind) == f'"{kind}"'
+
+
+def test_trace_jsonl_edge_records_and_empty_trace(tmp_path):
+    records = [TraceRecord(0, "msg_send", 3, -1, 0, WAKE_ALL),
+               TraceRecord(2**50, "cond_wake", 0, 15, 2**40 + 64, 1)]
+    sim = SimpleNamespace(trace=records, wire_log=bytearray(b"x" * 18))
+    cli._write_trace(tmp_path, "", sim)
+    assert read(tmp_path / "trace.jsonl") == reference_jsonl(records)
+    assert read(tmp_path / "trace.bin") == b"x" * 18
+    cli._write_trace(tmp_path, "_empty", SimpleNamespace(trace=[], wire_log=bytearray()))
+    assert read(tmp_path / "trace_empty.jsonl") == b""
+    assert read(tmp_path / "trace_empty.bin") == b""
+
+
 def test_sweep_outputs_one_row_per_run(tmp_path):
     out = tmp_path / "out"
     rv = cli.main(SMALL + ["--workload", "lock",
@@ -221,6 +267,33 @@ def test_unit_memory_below_data_region_exits_2_before_first_run(tmp_path, capsys
     stdout, err = capsys.readouterr()
     assert "[0]" not in stdout and "data region" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workload, param", [
+    ("hash_table", "buckets = 4000"),
+    ("array_map", "slots = 2000000"),
+])
+def test_workload_past_unit_memory_exits_2_before_first_run(tmp_path, capsys, workload, param):
+    # data lines of the last buckets (slots) lie past a 65 MiB unit
+    ini = tmp_path / "small.ini"
+    ini.write_text("[system]\nunits = 2\ncores_per_unit = 4\nunit_mem_mib = 65\n"
+                   f"[workload]\nname = {workload}\n{param}\n")
+    out = tmp_path / "out"
+    rv = cli.main(["--config", str(ini), "--sweep", "seed=0,1", "--out", str(out)])
+    assert rv == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and f"workload {workload!r}" in err and "past its" in err
+    assert not out.exists()
+
+
+def test_workload_filling_unit_memory_runs(tmp_path):
+    # 3072 buckets over 2 units end exactly at 65 MiB; 3073 reach one line past
+    ini = tmp_path / "edge.ini"
+    body = "[system]\nunits = 2\ncores_per_unit = 4\nunit_mem_mib = 65\n[workload]\nname = hash_table\n"
+    ini.write_text(body + "buckets = 3072\n")
+    assert cli.main(["--config", str(ini), "--out", str(tmp_path / "a")]) == 0
+    ini.write_text(body + "buckets = 3073\n")
+    assert cli.main(["--config", str(ini), "--out", str(tmp_path / "b")]) == 2
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):

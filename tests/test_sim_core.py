@@ -416,3 +416,55 @@ def test_sync_address_outside_memory_rejected(scheme):
     sim = Simulation(cfg, Script(cfg, {0: [("lock_acquire", lock), ("lock_release", lock)]}))
     with pytest.raises(ConfigError, match="outside system memory"):
         sim.run()
+
+
+# -- network invariants ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_traffic_keeps_pair_order_and_link_fifo(seed):
+    """Per-pair arrivals never decrease and each link's free time never
+    decreases, in call order. Each episode heats one unit's crossbar, then
+    sends from that unit while the burst leaves the window: a send that
+    still pays the queueing cap is followed by ones that no longer do."""
+    rng = random.Random(seed)
+    net, _ = make_network(units=4)
+    nodes = [("core", u, l) for u in range(4) for l in range(3)] + [("coord", u) for u in range(4)]
+    last_arrival = {}
+    link_free = [row[:] for row in net._link_free]
+    t = 0
+    for _ in range(150):
+        unit = rng.randrange(4)
+        for _ in range(rng.randrange(1500)):
+            net._cross_xbar(unit, 18, t)
+        local = [n for n in nodes if n[1] == unit]
+        pairs = [(src, dst) for src, dst in
+                 ((rng.choice(local), rng.choice(nodes)) for _ in range(3)) if src != dst]
+        t += net._window_ps - rng.randrange(20_000)
+        for _ in range(40):
+            t += rng.randrange(2000)
+            if not pairs or rng.random() < 0.2:  # memory traffic, dated ahead
+                net.memory_access(rng.randrange(4), rng.randrange(4), rng.random() < 0.5,
+                                  t + rng.randrange(100_000), sync_var=rng.random() < 0.3)
+            else:
+                pair = rng.choice(pairs)
+                arrival = net.send_message(*pair, t)
+                assert arrival >= last_arrival.get(pair, 0), pair
+                last_arrival[pair] = arrival
+            for s in range(4):
+                for d in range(4):
+                    assert net._link_free[s][d] >= link_free[s][d], (s, d)
+            link_free = [row[:] for row in net._link_free]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("workload", ("hash_table", "linked_list"))
+def test_energy_is_traffic_times_rates(scheme, workload):
+    cfg = SystemConfig(num_units=4, cores_per_unit=4, scheme=scheme)
+    sim = Simulation(cfg, make_workload(cfg, workload, seed=3))
+    s = sim.run()
+    en = sim.en
+    assert s.bytes_intra > 0 and s.mem_local + s.mem_remote + s.mem_sync_var > 0
+    assert s.energy_network_fj == (s.bytes_intra * 8 * en.intra_fj_per_bit
+                                   + s.bytes_inter * 8 * en.inter_fj_per_bit)
+    assert s.energy_memory_fj == (s.mem_local + s.mem_remote + s.mem_sync_var) * en.memory_fj(64)

@@ -97,3 +97,24 @@ def test_sync_addresses_stay_inside_owner_unit():
     cfg = SystemConfig(num_units=4, cores_per_unit=4)
     wl = make_workload(cfg, "lock", seed=0)
     assert master_se_of(cfg, wl.lock) == 0
+
+
+# workloads whose every run reaches its highest line
+TOP_REACHED = {"lock", "barrier", "semaphore", "condvar", "stack", "queue"}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_top_offset_bounds_every_address_a_run_touches(name):
+    cfg = SystemConfig(**SMALL)
+    sim = Simulation(cfg, make_workload(cfg, name, seed=1), trace=True)
+    sim.run()
+    reached = max(r.addr % cfg.unit_mem_bytes for r in sim.trace)
+    top = type(sim.workload).top_offset(cfg, {})
+    assert reached == top if name in TOP_REACHED else reached <= top
+
+
+def test_make_workload_rejects_lines_past_the_unit():
+    cfg = SystemConfig(num_units=2, cores_per_unit=4, unit_mem_bytes=65 * 1024 * 1024)
+    make_workload(cfg, "array_map", seed=0, params={"slots": 2 * 16384})
+    with pytest.raises(ConfigError, match="past its"):
+        make_workload(cfg, "array_map", seed=0, params={"slots": 2 * 16384 + 1})
