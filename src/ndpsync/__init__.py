@@ -7,14 +7,14 @@ hardware scheme against flat, server-based (central/hier) and ideal
 baselines on microbenchmarks and lock-based data structures.
 """
 
-from .topology import SystemConfig, CoreId, master_se_of
+from .topology import SystemConfig, master_se_of
 from .messages import Message, Opcode, OpClass, encode, decode, classify_opcode, CodecError
 from .sync_table import SynchronizationTable, IndexingCounters, TableFull
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .sim import LatencyModel, EnergyModel, Stats
 
 __all__ = [
-    "SystemConfig", "CoreId", "master_se_of",
+    "SystemConfig", "master_se_of",
     "Message", "Opcode", "OpClass", "encode", "decode", "classify_opcode", "CodecError",
     "SynchronizationTable", "IndexingCounters", "TableFull",
     "ConfigError", "ProtocolError", "SimulationDeadlock",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ProtocolError
-from .topology import CoreId
 
 SERVER_CACHE_LINES = 256
 
@@ -47,7 +46,7 @@ class _Lock:
     __slots__ = ("owner", "waiters")
 
     def __init__(self):
-        self.owner: CoreId | None = None
+        self.owner: tuple | None = None
         self.waiters: deque = deque()  # (core, resuming condvar addr or None)
 
 
@@ -63,9 +62,10 @@ class _Sem:
 class IdealOracle:
     """Instant synchronization resolution with real blocking semantics.
 
-    Blocking calls return True when the caller proceeds immediately;
-    otherwise the caller parks and is released later through the wake
-    callback: wake(core, kind, addr, lock_addr).
+    Cores are named by their ("core", unit, local) node. Blocking calls
+    return True when the caller proceeds immediately; otherwise the caller
+    parks and is released later through the wake callback:
+    wake(core, kind, addr, lock_addr).
     """
 
     def __init__(self, wake):
@@ -77,7 +77,7 @@ class IdealOracle:
 
     # -- locks --------------------------------------------------------------
 
-    def lock_acquire(self, core: CoreId, addr: int, resume_cv: int | None = None) -> bool:
+    def lock_acquire(self, core: tuple, addr: int, resume_cv: int | None = None) -> bool:
         lock = self._locks.setdefault(addr, _Lock())
         if lock.owner is None:
             lock.owner = core
@@ -85,7 +85,7 @@ class IdealOracle:
         lock.waiters.append((core, resume_cv))
         return False
 
-    def lock_release(self, core: CoreId, addr: int) -> None:
+    def lock_release(self, core: tuple, addr: int) -> None:
         lock = self._locks.get(addr)
         if lock is None or lock.owner != core:
             raise ProtocolError(f"lock {addr:#x} released by non-owner {core}")
@@ -102,7 +102,7 @@ class IdealOracle:
 
     # -- barriers ------------------------------------------------------------
 
-    def barrier_wait(self, core: CoreId, addr: int, participants: int) -> bool:
+    def barrier_wait(self, core: tuple, addr: int, participants: int) -> bool:
         target, arrived = self._barriers.setdefault(addr, (participants, []))
         if target != participants:
             raise ProtocolError(f"barrier {addr:#x} participant count mismatch")
@@ -116,7 +116,7 @@ class IdealOracle:
 
     # -- semaphores ------------------------------------------------------------
 
-    def sem_wait(self, core: CoreId, addr: int, initial: int) -> bool:
+    def sem_wait(self, core: tuple, addr: int, initial: int) -> bool:
         sem = self._sems.setdefault(addr, _Sem())
         if sem.declared is None:
             sem.declared = initial
@@ -129,7 +129,7 @@ class IdealOracle:
         sem.waiters.append(core)
         return False
 
-    def sem_post(self, core: CoreId, addr: int) -> None:
+    def sem_post(self, core: tuple, addr: int) -> None:
         sem = self._sems.setdefault(addr, _Sem())
         sem.count += 1
         while sem.count > 0 and sem.waiters:
@@ -138,7 +138,7 @@ class IdealOracle:
 
     # -- condition variables ------------------------------------------------------
 
-    def cond_wait(self, core: CoreId, cv: int, lock_addr: int) -> None:
+    def cond_wait(self, core: tuple, cv: int, lock_addr: int) -> None:
         self.lock_release(core, lock_addr)
         self._conds.setdefault(cv, deque()).append((core, lock_addr))
 

@@ -62,11 +62,17 @@ _CSV_SOURCE = {
 }
 CSV_COLUMNS = ("run", *_CSV_SOURCE)
 
-# sweepable key -> value parser
-_SWEEP_KEYS = {
-    "scheme": str, "workload": str, "memory": str,
-    "units": int, "cores_per_unit": int, "st_entries": int, "seed": int,
-    "link_latency_ns": float,
+# run knobs, each a RunConfig field set by its own flag and by --sweep:
+# key -> (value parser, argparse choices), in --help order
+_KNOBS = {
+    "scheme": (str, SCHEMES),
+    "workload": (str, WORKLOAD_NAMES),
+    "units": (int, None),
+    "cores_per_unit": (int, None),
+    "st_entries": (int, None),
+    "link_latency_ns": (float, None),
+    "memory": (str, MEMORY_TECHS),
+    "seed": (int, None),
 }
 
 _INT_SYSTEM_KEYS = ("units", "cores_per_unit", "clients_per_unit", "st_entries",
@@ -190,14 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic simulator for hierarchical hardware synchronization "
                     "in near-data-processing systems.")
     p.add_argument("--config", metavar="FILE", help="INI file with [system]/[latency]/[workload]/[run] sections")
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--workload", choices=WORKLOAD_NAMES)
-    p.add_argument("--units", type=int)
-    p.add_argument("--cores-per-unit", type=int)
-    p.add_argument("--st-entries", type=int)
-    p.add_argument("--link-latency-ns", type=float)
-    p.add_argument("--memory", choices=MEMORY_TECHS)
-    p.add_argument("--seed", type=int)
+    for key, (cast, choices) in _KNOBS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=cast, choices=choices)
     p.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
     p.add_argument("--trace", action="store_true", help="write trace.jsonl and trace.bin")
     p.add_argument("--sweep", action="append", default=[], metavar="KEY=V1,V2,...",
@@ -212,10 +212,10 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, list]]:
     for spec in specs:
         key, eq, values = spec.partition("=")
         key = key.strip().replace("-", "_")
-        if not eq or key not in _SWEEP_KEYS:
+        if not eq or key not in _KNOBS:
             raise ConfigError(f"bad sweep {spec!r}; expected KEY=V1,V2 with KEY in "
-                              f"{sorted(_SWEEP_KEYS)}")
-        cast = _SWEEP_KEYS[key]
+                              f"{sorted(_KNOBS)}")
+        cast = _KNOBS[key][0]
         try:
             parsed = [cast(v.strip()) for v in values.split(",") if v.strip()]
         except ValueError as exc:
@@ -259,11 +259,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         base = load_config_file(args.config) if args.config else RunConfig()
-        for attr in ("scheme", "workload", "units", "cores_per_unit",
-                     "st_entries", "link_latency_ns", "memory", "seed"):
-            value = getattr(args, attr)
+        for key in _KNOBS:
+            value = getattr(args, key)
             if value is not None:
-                setattr(base, attr, value)
+                setattr(base, key, value)
         runs = expand_runs(base, parse_sweeps(args.sweep))
         for rc in runs:  # a bad run anywhere in a sweep fails before any run
             check_workload(rc.system_config(), rc.workload, rc.workload_params)

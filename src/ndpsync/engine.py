@@ -131,13 +131,10 @@ class Coordinator:
         self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
         self.core_bits = core_id_bits(cfg.cores_per_unit)
         # the cores whose requests come here, by the core id those requests carry
-        self.clients = {cfg.wire_core_id(c.unit, c.local): ("core", c.unit, c.local)
-                        for c in cfg.clients() if self.direct or c.unit == unit}
+        self.clients = {cfg.wire_core_id(node[1], node[2]): node
+                        for node in cfg.clients() if self.direct or node[1] == unit}
 
     # -- identity and sending --------------------------------------------------
-
-    def node(self):
-        return ("coord", self.unit)
 
     def is_master_for(self, addr: int) -> bool:
         return master_se_of(self.cfg, addr) == self.unit

@@ -42,7 +42,7 @@ from .baselines import IdealOracle, ServerCache
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .messages import MESSAGE_BYTES, SYNC_REQUESTS, Message, Opcode, encode
-from .topology import CoreId, SystemConfig, master_se_of
+from .topology import SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
 SE_CYCLE_PS = 1_000
@@ -366,14 +366,12 @@ class Network:
 
 
 class _Core:
-    __slots__ = ("core", "gen", "blocked", "done", "node", "key", "wire_id", "dst")
+    __slots__ = ("gen", "blocked", "node", "key", "wire_id", "dst")
 
-    def __init__(self, core: CoreId, gen, key: int, wire_id: int, dst):
-        self.core = core
+    def __init__(self, node, gen, key: int, wire_id: int, dst):
         self.gen = gen
-        self.blocked = None
-        self.done = False
-        self.node = ("core", core.unit, core.local)
+        self.blocked = None  # the pending blocking request; None while running or finished
+        self.node = node
         self.key = key
         self.wire_id = wire_id  # core id on this core's requests
         self.dst = dst  # coordinator node of its requests; None: each variable's master
@@ -388,7 +386,7 @@ class _Coord:
         self.inbox = deque()
         self.busy = False
         self.cache = cache
-        self.node = coordinator.node()
+        self.node = ("coord", coordinator.unit)
         self.key = COORD_KEY_BASE + coordinator.unit
         self.occ_acc = 0
         self.occ_last_t = 0
@@ -416,24 +414,23 @@ class Simulation:
         self._sent = [0] * len(_OPCODE_NAMES)  # messages sent, by opcode value
 
         programs = workload.programs()
-        self.cores: dict[CoreId, _Core] = {}
-        for c in cfg.clients():  # in (unit, local) order
-            gen = programs.get(c)
+        self.cores: list[_Core] = []  # in client (unit, local) order
+        for node in cfg.clients():
+            gen = programs.get(node)
             if gen is None:
                 break
-            self.cores[c] = _Core(c, gen, c.unit * cfg.cores_per_unit + c.local,
-                                  cfg.wire_core_id(c.unit, c.local),
-                                  None if cfg.route == "direct" else ("coord", c.unit))
+            _, u, l = node
+            self.cores.append(_Core(node, gen, u * cfg.cores_per_unit + l, cfg.wire_core_id(u, l),
+                                    None if cfg.route == "direct" else ("coord", u)))
         clients = cfg.total_clients
         if len(self.cores) != clients or len(programs) != clients:
             raise ProtocolError("workload programs do not cover exactly the client cores")
-        self._pending = len(self.cores)
 
         self.coords = {u: _Coord(Coordinator(cfg, u), ServerCache() if cfg.server else None)
                        for u in cfg.coord_units}
         self.oracle = IdealOracle(self._oracle_wake) if cfg.route is None else None
         # every message endpoint by node tuple
-        self._at = {crt.node: crt for crt in (*self.cores.values(), *self.coords.values())}
+        self._at = {crt.node: crt for crt in (*self.cores, *self.coords.values())}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -464,7 +461,7 @@ class Simulation:
         on_msg = self._on_msg
         on_service_done = self._on_service_done
         heap = self._heap
-        for crt in self.cores.values():
+        for crt in self.cores:
             advance(crt, 0)
         while heap:
             t, rank, _key, _seq, node, payload = heappop(heap)
@@ -475,11 +472,12 @@ class Simulation:
                 on_service_done(node, payload, t)
             else:  # COMPUTE or MEM: the core's next step
                 advance(payload, t)
-        if self._pending:
-            blocked = [(c.core, c.blocked) for c in self.cores.values() if not c.done]
-            lines = ", ".join(f"{core}:{why}" for core, why in blocked)
+        # with the queue drained, every core that has not finished is blocked
+        blocked = [(c.node, c.blocked) for c in self.cores if c.blocked is not None]
+        if blocked:
+            lines = ", ".join(f"{node}:{why}" for node, why in blocked)
             raise SimulationDeadlock(
-                f"event queue drained with {self._pending} cores incomplete: {lines}",
+                f"event queue drained with {len(blocked)} cores incomplete: {lines}",
                 blocked=blocked)
         for crt in self.coords.values():
             assert not crt.inbox and not crt.busy, "coordinator inbox not drained"
@@ -511,7 +509,7 @@ class Simulation:
         A core advanced with a blocking request pending has just been
         granted it, by a grant message or by the ideal oracle.
         """
-        core = crt.core
+        _, unit, local = crt.node
         tracing = self.trace_enabled
         while True:
             b = crt.blocked
@@ -522,25 +520,23 @@ class Simulation:
                 if kind == "lock":
                     ops["lock_acquire"] += 1
                     if tracing:
-                        self._trace(t, "cs_enter", core.unit, core.local, b[1])
+                        self._trace(t, "cs_enter", unit, local, b[1])
                 elif kind == "cond":
                     ops["cond_wait"] += 1
                     if tracing:
-                        self._trace(t, "cs_enter", core.unit, core.local, b[2])
-                        self._trace(t, "cond_wake", core.unit, core.local, b[1], b[2])
+                        self._trace(t, "cs_enter", unit, local, b[2])
+                        self._trace(t, "cond_wake", unit, local, b[1], b[2])
                 elif kind == "sem":
                     ops["sem_wait"] += 1
                     if tracing:
-                        self._trace(t, "sem_acquire", core.unit, core.local, b[1], b[2])
+                        self._trace(t, "sem_acquire", unit, local, b[1], b[2])
                 else:
                     ops["barrier_wait"] += 1
                     if tracing:
-                        self._trace(t, "barrier_depart", core.unit, core.local, b[1])
+                        self._trace(t, "barrier_depart", unit, local, b[1])
             try:
                 step = next(crt.gen)
             except StopIteration:
-                crt.done = True
-                self._pending -= 1
                 return
             op = step[0]
             if op == "compute":
@@ -552,9 +548,9 @@ class Simulation:
             if op == "mem":
                 _, addr, write = step
                 home = addr // self.cfg.unit_mem_bytes
-                done = self.network.memory_access(core.unit, home, write, t)
+                done = self.network.memory_access(unit, home, write, t)
                 if tracing:
-                    self._trace(t, "mem_op", core.unit, core.local, addr, int(write))
+                    self._trace(t, "mem_op", unit, local, addr, int(write))
                 self._push(done, MEM, crt.key, crt.node, crt)
                 return
             if not self._issue(crt, step, t):
@@ -567,7 +563,8 @@ class Simulation:
         each step goes to the oracle, which may grant a blocking step at
         once; otherwise the request goes to the core's coordinator.
         """
-        core = crt.core
+        node = crt.node
+        _, unit, local = node
         kind = step[0]
         addr = step[1]
         o = self.oracle
@@ -577,37 +574,37 @@ class Simulation:
         if kind == "lock_acquire":
             crt.blocked = ("lock", addr)
             if o is not None:
-                return o.lock_acquire(core, addr)
+                return o.lock_acquire(node, addr)
             opc = Opcode.LOCK_ACQUIRE_LOCAL
         elif kind == "lock_release":
             self.stats.ops["lock_release"] += 1
             if tracing:
-                self._trace(t, "cs_exit", core.unit, core.local, addr)
+                self._trace(t, "cs_exit", unit, local, addr)
             if o is not None:
-                o.lock_release(core, addr)
+                o.lock_release(node, addr)
                 return True
             opc = Opcode.LOCK_RELEASE_LOCAL
         elif kind == "barrier_wait":
             _, addr, info, within = step
             crt.blocked = ("barrier", addr)
             if tracing:
-                self._trace(t, "barrier_arrive", core.unit, core.local, addr)
+                self._trace(t, "barrier_arrive", unit, local, addr)
             if o is not None:
-                return o.barrier_wait(core, addr, info)
+                return o.barrier_wait(node, addr, info)
             opc = (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT if within
                    else Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS)
         elif kind == "sem_wait":
             _, addr, info = step
             crt.blocked = ("sem", addr, info)
             if o is not None:
-                return o.sem_wait(core, addr, info)
+                return o.sem_wait(node, addr, info)
             opc = Opcode.SEM_WAIT_LOCAL
         elif kind == "sem_post":
             self.stats.ops["sem_post"] += 1
             if tracing:
-                self._trace(t, "sem_release", core.unit, core.local, addr)
+                self._trace(t, "sem_release", unit, local, addr)
             if o is not None:
-                o.sem_post(core, addr)
+                o.sem_post(node, addr)
                 return True
             opc = Opcode.SEM_POST_LOCAL
         elif kind == "cond_wait":
@@ -615,10 +612,10 @@ class Simulation:
             crt.blocked = ("cond", addr, info)
             self.stats.ops["lock_release"] += 1
             if tracing:
-                self._trace(t, "cs_exit", core.unit, core.local, info)
-                self._trace(t, "cond_sleep", core.unit, core.local, addr, info)
+                self._trace(t, "cs_exit", unit, local, info)
+                self._trace(t, "cond_sleep", unit, local, addr, info)
             if o is not None:
-                o.cond_wait(core, addr, info)
+                o.cond_wait(node, addr, info)
                 return False
             opc = Opcode.COND_WAIT_LOCAL
         elif kind == "cond_signal":
@@ -661,7 +658,7 @@ class Simulation:
         b = crt.blocked
         if b is None or b[0] != kind or b[1] != addr:
             what = f"wake {kind}" if payload[0] == "wake" else payload[0].opcode.name
-            raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {crt.core}")
+            raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {node}")
         self._advance(crt, t)
 
     def _enqueue(self, crt: _Coord, env, t: int) -> None:
@@ -740,11 +737,10 @@ class Simulation:
 
     # -- oracle ------------------------------------------------------------------------------
 
-    def _oracle_wake(self, core: CoreId, kind: str, addr: int, lock: int) -> None:
+    def _oracle_wake(self, node, kind: str, addr: int, lock: int) -> None:
         """Oracle wake callback: the grant reaches the core as a message would.
 
         A cond wake's lock is the one the core named in its wait, which
         crt.blocked already holds.
         """
-        crt = self.cores[core]
-        self._push(self.now, MSG, crt.key, crt.node, ("wake", kind, addr))
+        self._push(self.now, MSG, self._at[node].key, node, ("wake", kind, addr))

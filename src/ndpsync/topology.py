@@ -5,6 +5,10 @@ holds an address owns that address: its synchronization engine (or
 per-unit server, depending on the scheme) is the master coordinator for
 every synchronization variable stored there. The one global server
 (direct routing to a server) masters every address instead.
+
+In process, a core is named by its node ("core", unit, local) and a
+coordinator by ("coord", unit), in the network, the event queue, the
+coordinators and the workloads alike.
 """
 
 from __future__ import annotations
@@ -29,14 +33,6 @@ SCHEME_AXES = {
 }
 SCHEMES = tuple(SCHEME_AXES)
 MEMORY_TECHS = ("hbm", "hmc", "ddr4")
-
-
-@dataclass(frozen=True, order=True)
-class CoreId:
-    """A core addressed as (unit, local index within the unit)."""
-
-    unit: int
-    local: int
 
 
 @dataclass
@@ -121,10 +117,6 @@ class SystemConfig:
         return range(1 if self.one_master else self.num_units)
 
     @property
-    def total_cores(self) -> int:
-        return self.num_units * self.cores_per_unit
-
-    @property
     def total_clients(self) -> int:
         return self.num_units * self.clients_per_unit
 
@@ -132,9 +124,9 @@ class SystemConfig:
     def total_mem_bytes(self) -> int:
         return self.num_units * self.unit_mem_bytes
 
-    def clients(self) -> list[CoreId]:
-        """Client cores in deterministic (unit, local) order."""
-        return [CoreId(u, l) for u in range(self.num_units) for l in range(self.clients_per_unit)]
+    def clients(self) -> list[tuple]:
+        """Client cores, as ("core", unit, local) nodes, in (unit, local) order."""
+        return [("core", u, l) for u in range(self.num_units) for l in range(self.clients_per_unit)]
 
 
 def master_se_of(cfg: SystemConfig, addr: int) -> int:

@@ -25,11 +25,14 @@ import json
 import random
 
 from .errors import ConfigError
-from .topology import CoreId, SystemConfig
+from .topology import SystemConfig
 
 _SYNC_REGION = 0x10_000      # per-unit offset for synchronization variables
 _DATA_REGION = 0x4_000_000   # per-unit offset for data
 _LINE = 64
+
+# parameters that size a structure (an empty one has no key, node or slot to pick)
+_SIZE_PARAMS = ("buckets", "nodes", "slots")
 
 WORKLOAD_NAMES = ("lock", "barrier", "semaphore", "condvar",
                   "stack", "queue", "array_map", "hash_table", "linked_list")
@@ -71,14 +74,13 @@ class Workload:
         touches, from the configuration alone. Default: sync slot 0."""
         return _SYNC_REGION
 
-    # one generator per client core; single use per instance
-    def programs(self) -> dict[CoreId, object]:
+    # one generator per client core, keyed by its node; single use per instance
+    def programs(self) -> dict[tuple, object]:
         assert not self._spawned, "workload instances drive exactly one run"
         self._spawned = True
-        return {core: self._program(core, idx)
-                for idx, core in enumerate(self.cfg.clients())}
+        return {node: self._program(idx) for idx, node in enumerate(self.cfg.clients())}
 
-    def _program(self, core: CoreId, idx: int):
+    def _program(self, idx: int):
         raise NotImplementedError
 
     def digest(self) -> str:
@@ -111,7 +113,7 @@ class LockMicro(Workload):
         self.lock = self._sync_addr(0, 0)
         self.grants: list[int] = [0] * cfg.total_clients
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         for _ in range(self.iterations):
             yield ("compute", self.interval)
             yield ("lock_acquire", self.lock)
@@ -148,7 +150,7 @@ class BarrierMicro(Workload):
         self.bar = self._sync_addr(0, 0)
         self.rounds: list[int] = [0] * cfg.total_clients
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         if idx >= self.participants:
             return
         within = self.cfg.num_units == 1
@@ -178,7 +180,7 @@ class SemaphoreMicro(Workload):
         self.n_consumers = cfg.total_clients // 2
         self.consumed: list[int] = [0] * cfg.total_clients
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         if idx < self.n_consumers:
             for _ in range(self.iterations):
                 yield ("compute", self.interval)
@@ -215,7 +217,7 @@ class CondvarMicro(Workload):
     def top_offset(cls, cfg, params):
         return _SYNC_REGION + _LINE  # the condition variable, sync slot 1
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         if idx < self.n_waiters:
             for _ in range(self.iterations):
                 yield ("compute", self.interval)
@@ -258,7 +260,7 @@ class StackPush(Workload):
         u = slot % self.cfg.num_units
         return self._data_addr(u, 1 + slot // self.cfg.num_units)
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         for k in range(self.ops_per_core):
             yield ("compute", self.gap)
             yield ("lock_acquire", self.lock)
@@ -301,7 +303,7 @@ class QueuePop(Workload):
         u = i % self.cfg.num_units
         return self._data_addr(u, 1 + i // self.cfg.num_units)
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
             yield ("lock_acquire", self.head_lock)
@@ -341,7 +343,7 @@ class ArrayMap(Workload):
         u = s % self.cfg.num_units
         return self._data_addr(u, s // self.cfg.num_units)
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         rng = self._rng(idx)
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
@@ -385,7 +387,7 @@ class HashTable(Workload):
         u = b % self.cfg.num_units
         return self._data_addr(u, 0x1000 + (b // self.cfg.num_units) * 8 + depth % 8)
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         rng = self._rng(idx)
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
@@ -431,7 +433,7 @@ class LinkedList(Workload):
         u = min(i * self.cfg.num_units // self.nodes, self.cfg.num_units - 1)
         return self._sync_addr(u, 0x400 + i)
 
-    def _program(self, core, idx):
+    def _program(self, idx):
         rng = self._rng(idx)
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
@@ -456,11 +458,16 @@ _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, Condva
 
 
 def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:
-    """Reject an unknown workload, or units too small to hold the data region
-    every unit carries or the workload's highest line. O(1): builds nothing."""
+    """Reject an unknown workload, a negative integer parameter or an empty
+    size, or units too small to hold the data region every unit carries or
+    the workload's highest line. O(1): builds nothing."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}")
+    for key, value in cls._resolve(params or {}).items():
+        low = 1 if key in _SIZE_PARAMS else 0
+        if value < low:
+            raise ConfigError(f"workload {name!r} needs {key} >= {low}, got {value}")
     if cfg.unit_mem_bytes <= _DATA_REGION:
         raise ConfigError(f"unit memory of {cfg.unit_mem_bytes:#x} bytes ends before the "
                           f"workload data region at {_DATA_REGION:#x} (64 MiB)")

@@ -3,7 +3,7 @@ import pytest
 from ndpsync.baselines import SERVER_CACHE_LINES, IdealOracle, ServerCache
 from ndpsync.errors import ProtocolError
 from ndpsync.sim import Simulation
-from ndpsync.topology import CoreId, SystemConfig
+from ndpsync.topology import SystemConfig
 from ndpsync.workloads import make_workload
 
 
@@ -51,7 +51,7 @@ def oracle_with_log():
 
 def test_ideal_lock_fifo_handoff():
     o, wakes = oracle_with_log()
-    a, b, c = CoreId(0, 0), CoreId(0, 1), CoreId(1, 0)
+    a, b, c = ("core", 0, 0), ("core", 0, 1), ("core", 1, 0)
     assert o.lock_acquire(a, 64)
     assert not o.lock_acquire(b, 64)
     assert not o.lock_acquire(c, 64)
@@ -63,16 +63,16 @@ def test_ideal_lock_fifo_handoff():
 
 def test_ideal_lock_release_by_non_owner_rejected():
     o, _ = oracle_with_log()
-    o.lock_acquire(CoreId(0, 0), 64)
+    o.lock_acquire(("core", 0, 0), 64)
+    with pytest.raises(ProtocolError, match=r"lock 0x40 released by non-owner \('core', 0, 1\)$"):
+        o.lock_release(("core", 0, 1), 64)
     with pytest.raises(ProtocolError):
-        o.lock_release(CoreId(0, 1), 64)
-    with pytest.raises(ProtocolError):
-        o.lock_release(CoreId(0, 1), 999)
+        o.lock_release(("core", 0, 1), 999)
 
 
 def test_ideal_barrier_last_arrival_proceeds():
     o, wakes = oracle_with_log()
-    cores = [CoreId(0, i) for i in range(3)]
+    cores = [("core", 0, i) for i in range(3)]
     assert not o.barrier_wait(cores[0], 64, 3)
     assert not o.barrier_wait(cores[1], 64, 3)
     assert o.barrier_wait(cores[2], 64, 3)
@@ -83,14 +83,14 @@ def test_ideal_barrier_last_arrival_proceeds():
 
 def test_ideal_barrier_participant_mismatch_rejected():
     o, _ = oracle_with_log()
-    o.barrier_wait(CoreId(0, 0), 64, 3)
+    o.barrier_wait(("core", 0, 0), 64, 3)
     with pytest.raises(ProtocolError):
-        o.barrier_wait(CoreId(0, 1), 64, 4)
+        o.barrier_wait(("core", 0, 1), 64, 4)
 
 
 def test_ideal_semaphore_counts_and_parks():
     o, wakes = oracle_with_log()
-    a, b, c = CoreId(0, 0), CoreId(0, 1), CoreId(1, 0)
+    a, b, c = ("core", 0, 0), ("core", 0, 1), ("core", 1, 0)
     assert o.sem_wait(a, 64, 2)
     assert o.sem_wait(b, 64, 2)
     assert not o.sem_wait(c, 64, 2)  # resources exhausted
@@ -102,7 +102,7 @@ def test_ideal_semaphore_counts_and_parks():
 
 def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
     o, wakes = oracle_with_log()
-    w, s = CoreId(0, 0), CoreId(0, 1)
+    w, s = ("core", 0, 0), ("core", 0, 1)
     assert o.lock_acquire(w, 128)
     o.cond_wait(w, 64, 128)          # parks w, frees the lock
     assert o.lock_acquire(s, 128)    # signaler takes it
@@ -115,7 +115,7 @@ def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
 
 def test_ideal_cond_signal_on_free_lock_wakes_immediately():
     o, wakes = oracle_with_log()
-    w = CoreId(0, 0)
+    w = ("core", 0, 0)
     o.lock_acquire(w, 128)
     o.cond_wait(w, 64, 128)
     o.cond_signal(64)
@@ -132,7 +132,7 @@ def test_ideal_lost_signal_is_absorbed():
 
 def test_ideal_broadcast_wakes_all():
     o, wakes = oracle_with_log()
-    cores = [CoreId(0, i) for i in range(3)]
+    cores = [("core", 0, i) for i in range(3)]
     for core in cores:
         o.lock_acquire(core, 128)
         if core is cores[0]:

@@ -286,6 +286,27 @@ def test_workload_past_unit_memory_exits_2_before_first_run(tmp_path, capsys, wo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workload, key, value", [
+    ("hash_table", "buckets", 0),
+    ("hash_table", "buckets", -3),
+    ("linked_list", "nodes", 0),
+    ("array_map", "slots", 0),
+    ("stack", "ops_per_core", -1),
+])
+def test_empty_or_negative_workload_size_exits_2_before_first_run(tmp_path, capsys, workload,
+                                                                   key, value):
+    ini = tmp_path / "sizes.ini"
+    ini.write_text("[system]\nunits = 2\ncores_per_unit = 4\n"
+                   f"[workload]\nname = {workload}\n{key} = {value}\n")
+    out = tmp_path / "out"
+    rv = cli.main(["--config", str(ini), "--out", str(out)])
+    assert rv == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout
+    assert f"workload {workload!r} needs {key} >= " in err and f"got {value}" in err
+    assert not out.exists()
+
+
 def test_workload_filling_unit_memory_runs(tmp_path):
     # 3072 buckets over 2 units end exactly at 65 MiB; 3073 reach one line past
     ini = tmp_path / "edge.ini"
@@ -309,3 +330,11 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     assert (ndpsync.RunConfig, ndpsync.run_once) == (cli.RunConfig, cli.run_once)
     with pytest.raises(AttributeError):
         ndpsync.no_such_name
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from ndpsync import *", namespace)  # resolves the lazy RunConfig and run_once too
+    assert sorted(n for n in namespace if n != "__builtins__") == sorted(ndpsync.__all__)
+    assert len(set(ndpsync.__all__)) == len(ndpsync.__all__)
+    assert namespace["run_once"] is cli.run_once

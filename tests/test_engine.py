@@ -6,23 +6,8 @@ from ndpsync.messages import Message, Opcode
 from ndpsync.sim import Simulation
 from ndpsync.topology import SystemConfig
 from ndpsync.verifier import verify_trace
-from ndpsync.workloads import Workload, make_workload
-
-
-class Script(Workload):
-    name = "script"
-
-    def __init__(self, cfg, steps=None):
-        super().__init__(cfg, seed=0)
-        self.steps = steps or {}
-
-    def _program(self, core, idx):
-        for step in self.steps.get(idx, ()):
-            yield step
-        self.completed_ops += 1
-
-    def digest(self):
-        return "script"
+from ndpsync.workloads import make_workload
+from script_workload import Script
 
 
 def run_script(steps, units=2, cores=3, scheme="syncron", **cfg_kw):

@@ -5,29 +5,12 @@ import pytest
 
 import ndpsync.sim as sim_module
 from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
-from ndpsync.messages import Opcode
+from ndpsync.messages import Message, Opcode
 from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_PS, SERVICE,
                          EnergyModel, LatencyModel, Network, Simulation, Stats)
-from ndpsync.topology import CoreId, SystemConfig
-from ndpsync.workloads import Workload, make_workload
-
-
-class Script(Workload):
-    """Fixed per-client step lists, for driving the runtime directly."""
-
-    name = "script"
-
-    def __init__(self, cfg, steps=None):
-        super().__init__(cfg, seed=0)
-        self.steps = steps or {}
-
-    def _program(self, core, idx):
-        for step in self.steps.get(idx, ()):
-            yield step
-        self.completed_ops += 1
-
-    def digest(self):
-        return "script"
+from ndpsync.topology import SystemConfig
+from ndpsync.workloads import make_workload
+from script_workload import Script
 
 
 def tiny_sim(scheme="syncron", units=1, cores=2, steps=None, **kw):
@@ -278,24 +261,35 @@ def test_lock_roundtrip_timing_is_exact():
 
 
 def test_deadlock_detector_names_blocked_cores():
-    sim = tiny_sim(units=1, cores=3,
-                   steps={0: [("lock_acquire", 64), ("lock_release", 64)],
-                          1: [("lock_acquire", 64), ("lock_release", 64)]})
+    # three clients queue on one lock and the first grant is lost; the fourth
+    # client finishes, so only the three waiters are reported
+    lock = [("lock_acquire", 64), ("lock_release", 64)]
+    sim = tiny_sim(units=2, cores=3, steps={0: lock, 1: lock, 2: lock, 3: [("compute", 5)]})
     dropped = []
 
     def drop(msg, src, dst):
         if msg.opcode is Opcode.LOCK_GRANT_LOCAL and not dropped:
-            dropped.append(msg)
+            dropped.append(dst)
             return True
         return False
 
     sim.drop_filter = drop
     with pytest.raises(SimulationDeadlock) as err:
         sim.run()
-    assert dropped, "fault was never injected"
-    assert err.value.blocked, "blocked-core dump missing"
-    core, why = err.value.blocked[0]
-    assert why[0] == "lock" and why[1] == 64
+    assert dropped == [("core", 0, 0)]
+    waiters = [("core", 0, 0), ("core", 0, 1), ("core", 1, 0)]
+    assert err.value.blocked == [(node, ("lock", 64)) for node in waiters]
+    assert str(err.value) == (
+        "event queue drained with 3 cores incomplete: ('core', 0, 0):('lock', 64), "
+        "('core', 0, 1):('lock', 64), ('core', 1, 0):('lock', 64)")
+
+
+def test_grant_to_a_core_not_waiting_for_it_is_a_protocol_error():
+    sim = tiny_sim()
+    grant = Message(128, Opcode.LOCK_GRANT_LOCAL, 0)
+    with pytest.raises(ProtocolError) as err:
+        sim._on_msg(("core", 0, 0), (grant, ("coord", 0)), 0)
+    assert str(err.value) == "LOCK_GRANT_LOCAL(0x80) does not match pending None at ('core', 0, 0)"
 
 
 def test_inbox_pressure_is_reported():
@@ -354,7 +348,7 @@ def test_by_opcode_counts_every_message(scheme, workload):
 def test_programs_must_cover_exactly_the_clients(locals_):
     cfg = SystemConfig(num_units=1, cores_per_unit=3)  # clients 0 and 1
     wl = Script(cfg)
-    wl.programs = lambda: {CoreId(0, i): iter(()) for i in locals_}
+    wl.programs = lambda: {("core", 0, i): iter(()) for i in locals_}
     with pytest.raises(ProtocolError, match="do not cover exactly"):
         Simulation(cfg, wl)
 
@@ -393,8 +387,9 @@ def test_simulation_follows_scheme_axes(scheme):
     assert (sim.oracle is not None) == (scheme == "ideal")
     for crt in sim.coords.values():
         assert (crt.coordinator.table is None, crt.cache is not None) == (server, server)
-    for core, crt in sim.cores.items():
-        assert crt.wire_id == (core.unit << 2 | core.local if packed else core.local)
+    for crt in sim.cores:
+        _, unit, local = crt.node
+        assert crt.wire_id == (unit << 2 | local if packed else local)
     sent = []
 
     def record(msg, src, dst):

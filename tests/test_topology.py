@@ -1,7 +1,7 @@
 import pytest
 
 from ndpsync.errors import ConfigError
-from ndpsync.topology import CoreId, SystemConfig, master_se_of
+from ndpsync.topology import SystemConfig, master_se_of
 
 GIB = 1024 * 1024 * 1024
 
@@ -11,7 +11,6 @@ def test_defaults():
     assert cfg.num_units == 4
     assert cfg.cores_per_unit == 16
     assert cfg.clients_per_unit == 15  # one core slot reserved, uniform across schemes
-    assert cfg.total_cores == 64
     assert cfg.total_clients == 60
     assert cfg.total_mem_bytes == 4 * GIB
 
@@ -36,7 +35,7 @@ def test_master_se_rejects_out_of_range():
 
 def test_clients_deterministic_order():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
-    assert cfg.clients() == [CoreId(0, 0), CoreId(0, 1), CoreId(1, 0), CoreId(1, 1)]
+    assert cfg.clients() == [("core", 0, 0), ("core", 0, 1), ("core", 1, 0), ("core", 1, 1)]
 
 
 def test_clients_per_unit_uniform_across_schemes():
@@ -68,7 +67,7 @@ def test_validation_errors():
 def test_single_core_unit_client_allowed():
     cfg = SystemConfig(num_units=1, cores_per_unit=1, scheme="syncron")
     assert cfg.clients_per_unit == 1
-    assert cfg.clients() == [CoreId(0, 0)]
+    assert cfg.clients() == [("core", 0, 0)]
 
 
 # -- 6-bit wire core id ------------------------------------------------------------
