@@ -17,12 +17,12 @@ counter decrease).
 The crossbar's sliding window is an approximation. Each unit's window holds
 segment start times in append order, and some of those times lie in the
 future: a crossing made for a later instant, such as a memory reply, is
-appended when it is computed. _queue_delay_ps drops entries only while the
-head has expired, so an expired entry behind a later-dated head still counts
-as busy. A time-ordered window that drops every expired entry moved time_ps
-by -1.04 % (syncron hash_table) to +0.72 % (hier hash_table) over 4 schemes x
-5 workloads at 4x16 and seed 3, and changed no saturation count. Adopting it
-is a declared result change, left for a change of its own.
+appended when it is computed. Network._cross_xbar drops entries only while
+the head has expired, so an expired entry behind a later-dated head still
+counts as busy. A time-ordered window that drops every expired entry moved
+time_ps by -1.04 % (syncron hash_table) to +0.72 % (hier hash_table) over
+4 schemes x 5 workloads at 4x16 and seed 3, and changed no saturation count.
+Adopting it is a declared result change, left for a change of its own.
 
 Event ordering is total and deterministic: (time, kind rank, node key,
 sequence number). The rank serves message arrivals before compute, memory
@@ -34,7 +34,7 @@ instant, the lower key goes first, so cores go before coordinators.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -151,7 +151,8 @@ class EnergyModel:
 class Stats:
     """Run counters. Times in ps, energies in fJ, all integers."""
 
-    def __init__(self) -> None:
+    def __init__(self, energy: EnergyModel | None = None) -> None:
+        self.energy = energy or EnergyModel()
         self.time_ps = 0
         self.ops = {k: 0 for k in ("lock_acquire", "lock_release", "barrier_wait",
                                    "sem_wait", "sem_post", "cond_wait",
@@ -164,8 +165,6 @@ class Stats:
         self.mem_local = 0
         self.mem_remote = 0
         self.mem_sync_var = 0
-        self.energy_network_fj = 0
-        self.energy_memory_fj = 0
         self.energy_cache_fj = 0
         self.sync_requests = 0
         self.sync_overflowed = 0
@@ -177,6 +176,14 @@ class Stats:
         self.inbox_pressure_events = 0
         self.completed_ops = 0
         self.digest = ""
+
+    @property
+    def energy_network_fj(self) -> int:
+        return self.energy.intra_fj(self.bytes_intra) + self.energy.inter_fj(self.bytes_inter)
+
+    @property
+    def energy_memory_fj(self) -> int:
+        return (self.mem_local + self.mem_remote + self.mem_sync_var) * self.energy.memory_fj()
 
     @property
     def overflow_fraction(self) -> float:
@@ -259,54 +266,41 @@ def trace_jsonl(trace) -> str:
 class Network:
     """Crossbar + link contention and every data-movement cost."""
 
-    def __init__(self, cfg: SystemConfig, lat: LatencyModel, en: EnergyModel, stats: Stats):
-        self.cfg = cfg
-        self.lat = lat
-        self.en = en
+    def __init__(self, cfg: SystemConfig, lat: LatencyModel, stats: Stats):
         self.stats = stats
         self._window = [deque() for _ in range(cfg.num_units)]  # segment start times
-        self._busy = [0] * cfg.num_units
         # _link_free[src][dst]: when the directed link src -> dst is next free
         self._link_free = [[0] * cfg.num_units for _ in range(cfg.num_units)]
-        self._pair_last: dict[tuple, int] = {}
-        # per-crossing constants: both models stay fixed for a run
+        # _pair_last[src node][dst node]: the latest arrival from src at dst
+        self._pair_last: defaultdict[tuple, dict] = defaultdict(dict)
+        # per-crossing constants: the model stays fixed for a run
         self._seg_ps = lat.intra_segment_ps
         self._window_ps = lat.queue_window_ps
         self._cap_ps = lat.queue_cap_factor * lat.intra_segment_ps
         self._line_ps = lat.inter_line_ps
         self._fixed_ps = lat.inter_fixed_ps
-        self._intra_fj_per_byte = 8 * en.intra_fj_per_bit
-        self._inter_fj_per_byte = 8 * en.inter_fj_per_bit
+        self._read_ps = lat.mem_read_ps
+        self._write_ps = lat.mem_write_ps
 
-    def _queue_delay_ps(self, unit: int, t: int) -> int:
-        """M/D/1 waiting time from utilization over a sliding window."""
+    def _cross_xbar(self, unit: int, nbytes: int, t: int) -> int:
+        """One crossbar segment after an M/D/1 wait from the utilization of a
+        sliding window, where each entry is one segment busy; returns its end."""
         win = self._window[unit]
         horizon = t - self._window_ps
         while win and win[0] <= horizon:
             win.popleft()
-            self._busy[unit] -= self._seg_ps
-        busy = self._busy[unit]
-        if busy == 0:
-            return 0
-        free = self._window_ps - busy
-        if free <= 0:
-            self.stats.saturation_events += 1
-            return self._cap_ps
-        wait = busy * self._seg_ps // (2 * free)
-        if wait > self._cap_ps:
-            self.stats.saturation_events += 1
-            return self._cap_ps
-        return wait
-
-    def _cross_xbar(self, unit: int, nbytes: int, t: int) -> int:
-        """One crossbar segment; every window entry is one segment busy."""
-        start = t + self._queue_delay_ps(unit, t)
-        self._window[unit].append(start)
-        self._busy[unit] += self._seg_ps
-        stats = self.stats
-        stats.bytes_intra += nbytes
-        stats.energy_network_fj += nbytes * self._intra_fj_per_byte
-        return start + self._seg_ps
+        seg = self._seg_ps
+        busy = len(win) * seg
+        if busy:
+            free = self._window_ps - busy
+            if free > 0 and (wait := busy * seg // (2 * free)) <= self._cap_ps:
+                t += wait
+            else:
+                self.stats.saturation_events += 1
+                t += self._cap_ps
+        win.append(t)
+        self.stats.bytes_intra += nbytes
+        return t + seg
 
     def _cross_link(self, src_unit: int, dst_unit: int, nbytes: int, t: int) -> int:
         occupy = -(-nbytes // LINE_BYTES) * self._line_ps
@@ -315,9 +309,7 @@ class Network:
         if start < t:
             start = t
         free[dst_unit] = start + occupy
-        stats = self.stats
-        stats.bytes_inter += nbytes
-        stats.energy_network_fj += nbytes * self._inter_fj_per_byte
+        self.stats.bytes_inter += nbytes
         return start + occupy + self._fixed_ps
 
     def send_message(self, src_node, dst_node, t: int) -> int:
@@ -331,11 +323,11 @@ class Network:
             self.stats.messages_inter += 1
         else:
             self.stats.messages_intra += 1
-        key = (src_node, dst_node)
-        last = self._pair_last.get(key, 0)
+        pair_last = self._pair_last[src_node]
+        last = pair_last.get(dst_node, 0)
         if arrival < last:
             arrival = last
-        self._pair_last[key] = arrival
+        pair_last[dst_node] = arrival
         return arrival
 
     def memory_access(self, req_unit: int, home_unit: int, write: bool, t: int,
@@ -348,17 +340,15 @@ class Network:
             stats.mem_local += 1
         else:
             stats.mem_remote += 1
-        stats.energy_memory_fj += self.en.memory_fj(LINE_BYTES)
         # request: writes carry the line, reads an 18-byte command
         req_bytes = LINE_BYTES if write else MESSAGE_BYTES
         at = self._cross_xbar(req_unit, req_bytes, t)
         if home_unit != req_unit:
             at = self._cross_link(req_unit, home_unit, req_bytes, at)
             at = self._cross_xbar(home_unit, req_bytes, at)
-        at += self.lat.memory_latency_ps(write)
         if write:
-            return at  # posted: done once the array commits
-        at = self._cross_xbar(home_unit, LINE_BYTES, at)
+            return at + self._write_ps  # posted: done once the array commits
+        at = self._cross_xbar(home_unit, LINE_BYTES, at + self._read_ps)
         if home_unit != req_unit:
             at = self._cross_link(home_unit, req_unit, LINE_BYTES, at)
             at = self._cross_xbar(req_unit, LINE_BYTES, at)
@@ -379,7 +369,7 @@ class _Core:
 
 class _Coord:
     __slots__ = ("coordinator", "inbox", "busy", "cache", "node", "key",
-                 "occ_acc", "occ_last_t", "occ_max")
+                 "occ_acc", "occ_last_t", "occ_level", "occ_max")
 
     def __init__(self, coordinator: Coordinator, cache: ServerCache | None):
         self.coordinator = coordinator
@@ -390,6 +380,7 @@ class _Coord:
         self.key = COORD_KEY_BASE + coordinator.unit
         self.occ_acc = 0
         self.occ_last_t = 0
+        self.occ_level = 0  # table occupancy at the last sample
         self.occ_max = 0
 
 
@@ -402,8 +393,8 @@ class Simulation:
         self.workload = workload
         self.lat = latency or LatencyModel.create(cfg.memory)
         self.en = EnergyModel()
-        self.stats = Stats()
-        self.network = Network(cfg, self.lat, self.en, self.stats)
+        self.stats = Stats(self.en)
+        self.network = Network(cfg, self.lat, self.stats)
         self.trace_enabled = trace
         self.trace: list[TraceRecord] = []
         self.wire_log = bytearray()
@@ -452,7 +443,9 @@ class Simulation:
         if self.drop_filter is not None and self.drop_filter(msg, src_node, dst_node):
             return
         arrival = self.network.send_message(src_node, dst_node, t)
-        self._push(arrival, MSG, self._at[dst_node].key, dst_node, (msg, src_node))
+        self._seq += 1
+        heappush(self._heap, (arrival, MSG, self._at[dst_node].key, self._seq, dst_node,
+                              (msg, src_node)))
 
     # -- run loop ---------------------------------------------------------------
 
@@ -488,12 +481,11 @@ class Simulation:
         self.stats.time_ps = self.now
         self.stats.by_opcode = {name: n for name, n in zip(_OPCODE_NAMES, self._sent) if n}
         end = self.now
-        for u in sorted(self.coords):
-            crt = self.coords[u]
+        for crt in self.coords.values():  # built in ascending unit order
             table = crt.coordinator.table
             if table is None:
                 continue
-            self._occ_sample(crt, table, end)
+            self._occ_sample(crt, end)
             denom = end * table.capacity
             self.stats.st_avg_occupancy.append(crt.occ_acc / denom if denom else 0.0)
             self.stats.st_max_occupancy.append(crt.occ_max / table.capacity)
@@ -644,7 +636,15 @@ class Simulation:
             if self.trace_enabled:
                 msg = payload[0]
                 self._trace(t, "msg_recv", node[1], -1, msg.addr, int(msg.opcode))
-            self._enqueue(self.coords[node[1]], payload, t)
+            crt = self.coords[node[1]]
+            crt.inbox.append(payload)
+            depth = len(crt.inbox)
+            if depth > self.stats.max_inbox_depth:
+                self.stats.max_inbox_depth = depth
+            if depth > self.cfg.inbox_depth:
+                self.stats.inbox_pressure_events += 1
+            if not crt.busy:
+                self._start_service(crt, t)
             return
         crt = self._at[node]
         if payload[0] == "wake":
@@ -661,32 +661,19 @@ class Simulation:
             raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {node}")
         self._advance(crt, t)
 
-    def _enqueue(self, crt: _Coord, env, t: int) -> None:
-        crt.inbox.append(env)
-        depth = len(crt.inbox)
-        if depth > self.stats.max_inbox_depth:
-            self.stats.max_inbox_depth = depth
-        if depth > self.cfg.inbox_depth:
-            self.stats.inbox_pressure_events += 1
-        if not crt.busy:
-            self._start_service(crt, t)
-
-    def _occ_sample(self, crt: _Coord, table, t: int) -> None:
-        count = table.occupied_count
-        crt.occ_acc += (t - crt.occ_last_t) * count
+    def _occ_sample(self, crt: _Coord, t: int) -> None:
+        """Close the occupancy step since the last sample; exact when called at each change."""
+        crt.occ_acc += (t - crt.occ_last_t) * crt.occ_level
         crt.occ_last_t = t
-        if count > crt.occ_max:
-            crt.occ_max = count
+        crt.occ_level = crt.coordinator.table.occupied_count
+        crt.occ_max = max(crt.occ_max, crt.occ_level)
 
     def _start_service(self, crt: _Coord, t: int) -> None:
         msg, src = crt.inbox.popleft()
         coord = crt.coordinator
-        table = coord.table
-        if table is not None:
-            self._occ_sample(crt, table, t)
         out = coord.handle(msg, src)
-        if table is not None:
-            self._occ_sample(crt, table, t)  # reserve/release inside the service counts from t
+        if out.table_events:  # a reserve or release: occupancy changes from t
+            self._occ_sample(crt, t)
 
         if src[0] == "core" and msg.opcode in SYNC_REQUESTS:
             self.stats.sync_requests += 1
@@ -704,7 +691,8 @@ class Simulation:
             cursor = self._server_touches(crt, out.touches, cursor)
 
         crt.busy = True
-        self._push(cursor, SERVICE, crt.key, crt.node, out)
+        self._seq += 1
+        heappush(self._heap, (cursor, SERVICE, crt.key, self._seq, crt.node, out))
 
     def _server_touches(self, crt: _Coord, touches, cursor: int) -> int:
         """A software server reads and updates each variable line it handles."""
@@ -730,8 +718,15 @@ class Simulation:
         crt.busy = False
         for dst, m in out.sends:
             self._send(node, dst, m, t)
-        for m in out.internal:
-            self._enqueue(crt, (m, node), t)
+        for m in out.internal:  # condvar resumes: enqueued as in _on_msg, not traced
+            crt.inbox.append((m, node))
+            depth = len(crt.inbox)
+            if depth > self.stats.max_inbox_depth:
+                self.stats.max_inbox_depth = depth
+            if depth > self.cfg.inbox_depth:
+                self.stats.inbox_pressure_events += 1
+            if not crt.busy:
+                self._start_service(crt, t)
         if crt.inbox and not crt.busy:
             self._start_service(crt, t)
 

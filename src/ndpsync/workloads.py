@@ -52,6 +52,7 @@ class Workload:
 
     name = "base"
     defaults: dict[str, int] = {}
+    client_params: tuple[str, ...] = ()  # parameters that count clients: 1..total_clients
 
     def __init__(self, cfg: SystemConfig, seed: int, params: dict | None = None):
         self.cfg = cfg
@@ -141,12 +142,11 @@ class BarrierMicro(Workload):
 
     name = "barrier"
     defaults = {"iterations": 20, "interval": 200}
+    client_params = ("participants",)
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
         self.participants = int(self.params.get("participants", cfg.total_clients))
-        if not 0 < self.participants <= cfg.total_clients:
-            raise ConfigError("participants must be in 1..total clients")
         self.bar = self._sync_addr(0, 0)
         self.rounds: list[int] = [0] * cfg.total_clients
 
@@ -372,6 +372,12 @@ class HashTable(Workload):
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
         self.chains: list[list[int]] = [[] for _ in range(self.buckets)]
+        units = cfg.num_units
+        self.bucket_locks = [self._sync_addr(b % units, 0x200 + b // units)
+                             for b in range(self.buckets)]
+        # bucket b's data line at depth d: bucket_data[b] + (d % 8) * _LINE
+        self.bucket_data = [self._data_addr(b % units, 0x1000 + (b // units) * 8)
+                            for b in range(self.buckets)]
 
     @classmethod
     def top_offset(cls, cfg, params):
@@ -379,26 +385,18 @@ class HashTable(Workload):
         last = cls._resolve(params)["buckets"] - 1
         return _DATA_REGION + (0x1000 + (last // cfg.num_units) * 8 + 7) * _LINE
 
-    def _bucket_lock(self, b: int) -> int:
-        u = b % self.cfg.num_units
-        return self._sync_addr(u, 0x200 + b // self.cfg.num_units)
-
-    def _bucket_data(self, b: int, depth: int) -> int:
-        u = b % self.cfg.num_units
-        return self._data_addr(u, 0x1000 + (b // self.cfg.num_units) * 8 + depth % 8)
-
     def _program(self, idx):
         rng = self._rng(idx)
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
             key = rng.randrange(1_000_000)
             b = key % self.buckets
-            yield ("lock_acquire", self._bucket_lock(b))
-            yield ("mem", self._bucket_data(b, 0), False)
+            yield ("lock_acquire", self.bucket_locks[b])
+            yield ("mem", self.bucket_data[b], False)
             depth = len(self.chains[b])
-            yield ("mem", self._bucket_data(b, 1 + depth), True)
+            yield ("mem", self.bucket_data[b] + (1 + depth) % 8 * _LINE, True)
             self.chains[b].append(key)
-            yield ("lock_release", self._bucket_lock(b))
+            yield ("lock_release", self.bucket_locks[b])
             self.completed_ops += 1
 
     def digest(self):
@@ -424,29 +422,28 @@ class LinkedList(Workload):
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
         self.visits = [0] * self.nodes
+        self.node_addrs = [self._sync_addr(min(i * cfg.num_units // self.nodes, cfg.num_units - 1),
+                                           0x400 + i) for i in range(self.nodes)]
 
     @classmethod
     def top_offset(cls, cfg, params):
         return _SYNC_REGION + (0x400 + cls._resolve(params)["nodes"] - 1) * _LINE
 
-    def _node_addr(self, i: int) -> int:
-        u = min(i * self.cfg.num_units // self.nodes, self.cfg.num_units - 1)
-        return self._sync_addr(u, 0x400 + i)
-
     def _program(self, idx):
         rng = self._rng(idx)
+        addrs = self.node_addrs
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
             depth = rng.randrange(self.nodes)
-            yield ("lock_acquire", self._node_addr(0))
-            yield ("mem", self._node_addr(0), False)
+            yield ("lock_acquire", addrs[0])
+            yield ("mem", addrs[0], False)
             self.visits[0] += 1
             for i in range(1, depth + 1):
-                yield ("lock_acquire", self._node_addr(i))
-                yield ("mem", self._node_addr(i), False)
+                yield ("lock_acquire", addrs[i])
+                yield ("mem", addrs[i], False)
                 self.visits[i] += 1
-                yield ("lock_release", self._node_addr(i - 1))
-            yield ("lock_release", self._node_addr(depth))
+                yield ("lock_release", addrs[i - 1])
+            yield ("lock_release", addrs[depth])
             self.completed_ops += 1
 
     def digest(self):
@@ -458,20 +455,24 @@ _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, Condva
 
 
 def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:
-    """Reject an unknown workload, a negative integer parameter or an empty
-    size, or units too small to hold the data region every unit carries or
-    the workload's highest line. O(1): builds nothing."""
+    """Reject an unknown workload, a negative, empty or out-of-range parameter,
+    or units too small to hold the data region every unit carries or the
+    workload's highest line. O(1): builds nothing."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}")
-    for key, value in cls._resolve(params or {}).items():
+    params = params or {}
+    for key, value in cls._resolve(params).items():
         low = 1 if key in _SIZE_PARAMS else 0
         if value < low:
             raise ConfigError(f"workload {name!r} needs {key} >= {low}, got {value}")
+    for key in cls.client_params:
+        if key in params and not 0 < int(params[key]) <= cfg.total_clients:
+            raise ConfigError(f"workload {name!r} needs {key} in 1..{cfg.total_clients}, got {params[key]}")
     if cfg.unit_mem_bytes <= _DATA_REGION:
         raise ConfigError(f"unit memory of {cfg.unit_mem_bytes:#x} bytes ends before the "
                           f"workload data region at {_DATA_REGION:#x} (64 MiB)")
-    end = cls.top_offset(cfg, params or {}) + _LINE
+    end = cls.top_offset(cfg, params) + _LINE
     if end > cfg.unit_mem_bytes:
         raise ConfigError(f"workload {name!r} with these parameters reaches {end:#x} bytes "
                           f"into a unit, past its {cfg.unit_mem_bytes:#x} bytes of memory")

@@ -307,6 +307,21 @@ def test_empty_or_negative_workload_size_exits_2_before_first_run(tmp_path, caps
     assert not out.exists()
 
 
+def test_barrier_participants_out_of_range_later_in_sweep_exits_2_before_first_run(
+        tmp_path, capsys):
+    # 8 participants fit 4 units of 3 clients, not 1 unit
+    ini = tmp_path / "barrier.ini"
+    ini.write_text("[system]\ncores_per_unit = 4\n[workload]\nname = barrier\n"
+                   "participants = 8\n")
+    out = tmp_path / "out"
+    rv = cli.main(["--config", str(ini), "--sweep", "units=4,1", "--out", str(out)])
+    assert rv == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout
+    assert "workload 'barrier' needs participants in 1..3, got 8" in err
+    assert not (out / "stats.json").exists()
+
+
 def test_workload_filling_unit_memory_runs(tmp_path):
     # 3072 buckets over 2 units end exactly at 65 MiB; 3073 reach one line past
     ini = tmp_path / "edge.ini"

@@ -139,6 +139,19 @@ GOLDEN_4X4 = {
     "syncron/linked_list/st4": "6f6f497b9e68b711a5617bc5cc439d2f9fae91448a3007f095b8ef16469e8aee",
 }
 
+# The paper-size 4x16 system with a 4-entry table on the lock-based data
+# structures: most requests overflow under syncron (0.85-0.86) and flat
+# (0.28-0.59), and inboxes reach depths 14-25, past the default inbox_depth 16.
+GOLDEN_OVERFLOW_4X16 = {
+    "syncron/hash_table": "de5bc0556e224b80be457fdb18836c339bb56ba0fe8d6643655100ddb9784892",
+    "syncron/linked_list": "a65775f8f2467224e6531978fbf6344e86a45aff70ffc7ccd0af6152d636db7c",
+    "flat/hash_table": "eff8458a656af61a2f5e60e77b192e0f6ef5bf49de9dfe77d8f78ae6bc59d959",
+    "flat/linked_list": "aeee1dc91c73ba293f25afa4219f8e8166decedbfd273067ec5ec042da356e1e",
+    "hier/hash_table": "6a1f9e8c016c34f119718439811b18d1b20e4fc5fe40bb41f86bfabe5eae9e2b",
+    "hier/linked_list": "4dc4b51c6a227f161c7d32a43895d6cec0430a6fe5e0dbe9f4dd4bb20905b7f9",
+}
+OPS_OVERFLOW_4X16 = {"hash_table": 3, "linked_list": 2}
+
 
 def output_digest(rc: RunConfig) -> str:
     stats, sim = run_once(rc, trace=True)
@@ -191,4 +204,16 @@ def test_multi_unit_overflow_outputs_match_golden_digests():
             got[f"syncron/{workload}/st{st}"] = output_digest(rc)
     assert set(got) == set(GOLDEN_4X4)
     changed = sorted(name for name in got if got[name] != GOLDEN_4X4[name])
+    assert not changed, f"outputs changed for {changed}"
+
+
+def test_paper_size_overflow_outputs_match_golden_digests():
+    got = {}
+    for scheme in ("syncron", "flat", "hier"):
+        for workload, ops in OPS_OVERFLOW_4X16.items():
+            rc = RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
+                           st_entries=4, seed=3, workload_params={"ops_per_core": ops})
+            got[f"{scheme}/{workload}"] = output_digest(rc)
+    assert set(got) == set(GOLDEN_OVERFLOW_4X16)
+    changed = sorted(name for name in got if got[name] != GOLDEN_OVERFLOW_4X16[name])
     assert not changed, f"outputs changed for {changed}"

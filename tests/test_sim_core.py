@@ -132,7 +132,7 @@ def test_energy_arithmetic():
 def make_network(units=2):
     cfg = SystemConfig(num_units=units, cores_per_unit=4)
     stats = Stats()
-    return Network(cfg, LatencyModel.create(), EnergyModel(), stats), stats
+    return Network(cfg, LatencyModel.create(), stats), stats
 
 
 def test_send_message_same_unit_idle():
@@ -166,18 +166,18 @@ def test_link_is_fifo_per_direction():
 
 def test_queueing_grows_with_utilization_and_saturates():
     net, stats = make_network()
-    assert net._queue_delay_ps(0, 0) == 0
-    for _ in range(700):
+    assert net._cross_xbar(0, 18, 0) == 800  # an idle crossbar adds no wait
+    for _ in range(699):
         net._cross_xbar(0, 18, 0)
-    busy = net._busy[0]
-    assert busy == 700 * 800
-    w = net._queue_delay_ps(0, 0)
-    assert w == busy * 800 // (2 * (1_000_000 - busy))
-    assert w > 0
+    assert len(net._window[0]) == 700
+    # the crossing starts after busy * segment // (2 * free) of the window
+    wait = net._cross_xbar(0, 18, 0) - 800
+    assert wait == 560_000 * 800 // (2 * 440_000)
+    assert wait > 0
     before = stats.saturation_events
-    for _ in range(600):  # push utilization past the window
+    for _ in range(599):  # push utilization past the window
         net._cross_xbar(0, 18, 0)
-    assert net._queue_delay_ps(0, 0) == 10 * 800  # clamped at the cap
+    assert net._cross_xbar(0, 18, 0) - 800 == 10 * 800  # clamped at the cap
     assert stats.saturation_events > before
 
 
@@ -185,21 +185,24 @@ def test_queue_window_slides():
     net, _ = make_network()
     for _ in range(700):
         net._cross_xbar(0, 18, 0)
-    assert net._queue_delay_ps(0, 0) > 0
+    assert net._cross_xbar(0, 18, 0) - 800 == 560_000 * 800 // (2 * 440_000)
     # a window later the history has drained
-    assert net._queue_delay_ps(0, 2_000_000) == 0
+    assert net._cross_xbar(0, 18, 2_000_000) - 800 == 2_000_000
+    assert list(net._window[0]) == [2_000_000]
 
 
 def test_pairwise_delivery_is_in_order():
     net, stats = make_network()
-    # heat the source crossbar so the first send pays a big queueing term
-    for _ in range(1300):
-        net._cross_xbar(0, 18, 0)
-    first = net.send_message(("coord", 0), ("coord", 1), 0)
-    # much later the crossbar is idle again; an unclamped arrival would overtake
-    t2 = 1_990_000
-    second = net.send_message(("coord", 0), ("coord", 1), t2)
-    assert second >= first
+    # 1300 segments that started just inside the window: the first send finds
+    # the crossbar saturated and waits the cap
+    net._window[0].extend([-999_500] * 1300)
+    first = net.send_message(("coord", 0), ("core", 0, 1), 0)
+    assert first == 10 * 800 + 800
+    # by t=1000 those segments have left the window, so the second send finds
+    # it nearly idle and would overtake the first without the pair clamp
+    assert net._cross_xbar(0, 18, 1000) == 1000 + 800
+    second = net.send_message(("coord", 0), ("core", 0, 1), 1000)
+    assert second == first
 
 
 def test_memory_access_local_read_and_write():
@@ -298,6 +301,25 @@ def test_inbox_pressure_is_reported():
     stats = Simulation(cfg, Script(cfg, steps)).run()
     assert stats.max_inbox_depth > 2
     assert stats.inbox_pressure_events > 0
+
+
+def test_table_occupancy_is_integrated_exactly():
+    # core 0's lock takes an entry at 800 (its request arrives); core 1's
+    # request waits in the inbox and takes a second entry at 12_800, when
+    # the first service ends; the releases free them at 24_800 and 36_800,
+    # and the run ends with the last service at 48_800
+    cfg = SystemConfig(num_units=1, cores_per_unit=3, st_entries=4)
+    steps = {0: [("lock_acquire", 64), ("lock_release", 64)],
+             1: [("compute", 5), ("lock_acquire", 128), ("lock_release", 128)]}
+    sim = Simulation(cfg, Script(cfg, steps), trace=True)
+    stats = sim.run()
+    assert [(r.t, r.kind) for r in sim.trace if r.kind.startswith("st_")] == [
+        (800, "st_reserve"), (12_800, "st_reserve"), (24_800, "st_release"),
+        (36_800, "st_release")]
+    assert stats.time_ps == 48_800
+    area = 1 * (12_800 - 800) + 2 * (24_800 - 12_800) + 1 * (36_800 - 24_800)
+    assert stats.st_avg_occupancy == [area / (48_800 * 4)]
+    assert stats.st_max_occupancy == [2 / 4]
 
 
 def test_stats_dict_shape():
