@@ -18,6 +18,13 @@ master services it via a memory-resident record; non-master engines
 redirect requests with *_overflow opcodes carrying a packed {unit, core}
 id and track the episode in their indexing counters until the master
 broadcasts decrease_indexing_counter at quiescence.
+
+One handler serves each primitive action at every level. The level is the
+last word of the opcode's name, and it only says who asks, named by the
+message's core id: a client core by the id on its own requests (LOCAL), a
+unit's aggregate by the unit (GLOBAL), or another unit's core by its packed
+{unit, core} id (OVERFLOW). Each level waits in its own mask, and grants go
+back by the same level.
 """
 
 from __future__ import annotations
@@ -42,6 +49,16 @@ CONDVAR = "condvar"
 # counter decrease, which acts on no variable's state
 _PRIMITIVE = {op: {"LOCK": LOCK, "BARRIER": BARRIER, "SEM": SEMAPHORE, "COND": CONDVAR}
               .get(op.name.partition("_")[0]) for op in Opcode}
+
+# who asks, by the last word of the opcode's name (a barrier's LOCAL_WITHIN_UNIT
+# and LOCAL_ACROSS_UNITS waits are local); the values index _LOCK_GRANT
+LOCAL, GLOBAL, OVERFLOW = 0, 1, 2
+_LEVEL = {op: GLOBAL if op.name.endswith("_GLOBAL")
+          else OVERFLOW if op.name.endswith("_OVERFLOW") else LOCAL for op in Opcode}
+_LOCK_GRANT = (Opcode.LOCK_GRANT_LOCAL, Opcode.LOCK_GRANT_GLOBAL, Opcode.LOCK_GRANT_OVERFLOW)
+# requests whose core id must name a client of the receiving coordinator
+_CLIENT_REQUESTS = frozenset(op for op in SYNC_REQUESTS if _LEVEL[op] == LOCAL)
+_OVERFLOW_ACQUIRES = frozenset(op for op in Opcode if _CLASS[op] is OpClass.OVERFLOW_ACQUIRE)
 
 _OVERFLOW_FORM = {
     Opcode.LOCK_ACQUIRE_LOCAL: Opcode.LOCK_ACQUIRE_OVERFLOW,
@@ -78,9 +95,9 @@ def _bits(mask: int):
 class VarMeta:
     """Live coordination state for one variable at one coordinator.
 
-    Waiting cores are bits keyed by a core id: `locals` by the id on the
-    cores' own requests, `remote_ovf` by the packed {unit, core} id of an
-    overflow message. Either way ascending bits order cores by (unit, local).
+    Waiters are bits keyed by the core id of their request, one mask per
+    level: `locals` by a client's own id, `remote_agg` by unit, `remote_ovf`
+    by packed {unit, core} id. Ascending bits order cores by (unit, local).
     """
 
     primitive: str
@@ -89,7 +106,7 @@ class VarMeta:
     remote_agg: int = 0             # units waiting as aggregates (master only)
     remote_ovf: int = 0             # overflow waiters of other units (master only)
     ovf_units: int = 0              # units owed a decrease_indexing_counter at quiescence
-    owner: tuple | None = None      # ("core", unit, local) | ("unit", u)
+    owner: tuple | None = None      # (level, core id) of the lock holder's request
     pending_global: bool = False    # non-master: upward announce outstanding
     # barrier
     arrivals: int = 0
@@ -146,9 +163,16 @@ class Coordinator:
             raise ProtocolError(f"core id {core_id} names no client of coordinator {self.unit}")
         return node
 
-    def _to_core(self, out: Output, core_id: int, addr: int, op: Opcode, info: int = 0) -> None:
-        node = self.clients[core_id]
-        out.sends.append((node, Message(addr, op, node[2], info)))
+    def _send(self, out: Output, level: int, who: int, addr: int, op: Opcode,
+              info: int = 0) -> None:
+        """Send `op` back to a requester of `level` named by core id `who`."""
+        if level == LOCAL:
+            node = self.clients[who]
+            out.sends.append((node, Message(addr, op, node[2], info)))
+        elif level == GLOBAL:
+            out.sends.append((("coord", who), Message(addr, op, self.unit, info)))
+        else:
+            out.sends.append((("coord", who >> self.core_bits), Message(addr, op, who, info)))
 
     def _to_unit(self, out: Output, unit: int, addr: int, op: Opcode, core_id: int,
                  info: int = 0) -> None:
@@ -194,6 +218,14 @@ class Coordinator:
 
     # -- waiter order --------------------------------------------------------------
 
+    def _enqueue(self, meta: VarMeta, level: int, who: int) -> None:
+        if level == LOCAL:
+            meta.locals |= 1 << who
+        elif level == GLOBAL:
+            meta.remote_agg |= 1 << who
+        else:
+            meta.remote_ovf |= 1 << who
+
     def _pop_local(self, meta: VarMeta) -> int:
         """Remove and return the lowest waiting core id."""
         core_id = _low_bit(meta.locals)
@@ -216,66 +248,84 @@ class Coordinator:
                 return packed
         return None
 
+    def _pop_waiter(self, meta: VarMeta) -> tuple | None:
+        """Remove and return the next waiter as (level, core id), local cores
+        first, then in `_pop_remote`'s order; None when none waits."""
+        if meta.locals:
+            return LOCAL, self._pop_local(meta)
+        agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
+        packed = self._pop_remote(meta, agg)
+        if packed is not None:
+            return OVERFLOW, packed
+        if agg is None:
+            return None
+        meta.remote_agg &= meta.remote_agg - 1
+        return GLOBAL, agg
+
     # -- top-level dispatch ---------------------------------------------------
 
     def handle(self, msg: Message, src) -> Output:
+        """Serve one message from node `src`. The state machines need only the
+        message: its core id names the requester at every level."""
         out = Output()
-        _ROUTE[msg.opcode](self, msg, src, out)
+        _ROUTE[msg.opcode](self, msg, out)
         return out
 
-    def _overflow_request(self, msg: Message, src, out: Output) -> None:
+    def _overflow_request(self, msg: Message, out: Output) -> None:
         if self.server or not self.is_master_for(msg.addr):
             raise ProtocolError(f"{msg.opcode.name} delivered to a non-master coordinator")
         out.overflowed = True
-        self._memory_path(msg, src, out)
+        self._memory_path(msg, out)
 
-    def _cond_wait_request(self, msg: Message, src, out: Output) -> None:
+    def _cond_wait_request(self, msg: Message, out: Output) -> None:
         # release the named lock on the caller's behalf before parking
         rel = msg._replace(addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
-        self._handle_inner(rel, src, out)
-        self._handle_inner(msg, src, out)
+        self._handle_inner(rel, out)
+        self._handle_inner(msg, out)
 
-    def _lock_acquire_request(self, msg: Message, src, out: Output) -> None:
+    def _lock_acquire_request(self, msg: Message, out: Output) -> None:
         if msg.info:
             # lock re-acquisition for a condvar waiter: the grant must wake
             # the condvar wait, not a plain acquire
-            self._client(msg.core_id)
             self.cond_resume[msg.core_id] = msg.info
-        self._handle_inner(msg, src, out)
+        self._handle_inner(msg, out)
 
-    def _handle_inner(self, msg: Message, src, out: Output) -> None:
+    def _handle_inner(self, msg: Message, out: Output) -> None:
         addr = msg.addr
+        op = msg.opcode
+        if op in _CLIENT_REQUESTS and msg.core_id not in self.clients:
+            self._client(msg.core_id)  # raises: only this coordinator's clients ask locally
         meta = self.meta.get(addr)
 
         if meta is not None and meta.backing == "record":
             out.overflowed = True
-            self._memory_path(msg, src, out)
+            self._memory_path(msg, out)
             return
 
         if (meta is None and not self.server
-                and msg.opcode in SYNC_REQUESTS
+                and op in SYNC_REQUESTS
                 and (self.table.full() or self.counters.get(addr) > 0)):
             out.overflowed = True
             if self.is_master_for(addr):
-                self._memory_path(msg, src, out)
+                self._memory_path(msg, out)
             else:
                 self._redirect(msg, out)
             return
 
-        _HANDLER[msg.opcode](self, msg, src, out)
+        _HANDLER[op](self, msg, out)
         if self.server:
             # the lock line released by a cond wait is recorded by its own
             # inner dispatch, so one touch per dispatched message suffices
             out.touches.append(addr)
 
-    def _not_served(self, msg: Message, src, out: Output) -> None:
+    def _not_served(self, msg: Message, out: Output) -> None:
         raise ProtocolError(f"opcode {msg.opcode.name} not valid at a coordinator")
 
     # -- overflow path ---------------------------------------------------------
 
     def _redirect(self, msg: Message, out: Output) -> None:
         """Non-master with no table room: forward to the master via memory."""
-        _, unit, local = self._client(msg.core_id)
+        _, unit, local = self.clients[msg.core_id]
         if _CLASS[msg.opcode] is OpClass.ACQUIRE:
             if msg.addr not in self.enrolled:
                 self.enrolled[msg.addr] = 0
@@ -284,7 +334,7 @@ class Coordinator:
         self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, _OVERFLOW_FORM[msg.opcode],
                       pack_core(unit, local, self.core_bits), msg.info)
 
-    def _on_decrease(self, msg: Message, src, out: Output) -> None:
+    def _on_decrease(self, msg: Message, out: Output) -> None:
         addr = msg.addr
         n = self.enrolled.get(addr)
         if n is None:
@@ -295,28 +345,28 @@ class Coordinator:
         del self.enrolled[addr]
         self.counters.decrement(addr)
 
-    def _deliver_overflow_wake(self, msg: Message, src, out: Output) -> None:
+    def _deliver_overflow_wake(self, msg: Message, out: Output) -> None:
+        addr = msg.addr
         unit, local = unpack_core(msg.core_id, self.core_bits)
         if unit != self.unit:
             raise ProtocolError(f"{msg.opcode.name} routed to unit {self.unit} for core of unit {unit}")
         # only a non-master redirects, and its cores send their local index
-        self._client(local)
-        n = self.enrolled.get(msg.addr)
-        if n is not None and n > 0:
-            self.enrolled[msg.addr] = n - 1
+        if local not in self.clients:
+            self._client(local)
+        n = self.enrolled.get(addr)
+        if n:
+            self.enrolled[addr] = n - 1
         op = msg.opcode
         if op is Opcode.LOCK_GRANT_OVERFLOW:
-            self._grant_lock_to_core(msg.addr, local, out)
+            self._grant_lock(out, LOCAL, local, addr)
         elif op is Opcode.SEM_GRANT_OVERFLOW:
-            self._to_core(out, local, msg.addr, Opcode.SEM_GRANT_LOCAL)
+            self._send(out, LOCAL, local, addr, Opcode.SEM_GRANT_LOCAL)
         elif op is Opcode.BARRIER_DEPARTURE_OVERFLOW:
-            self._to_core(out, local, msg.addr, Opcode.BARRIER_DEPART_LOCAL)
-        elif op is Opcode.COND_GRANT_OVERFLOW:
-            self._start_resume(local, msg.addr, msg.info, out)
-        else:  # pragma: no cover
-            raise ProtocolError(f"unexpected overflow wake {op.name}")
+            self._send(out, LOCAL, local, addr, Opcode.BARRIER_DEPART_LOCAL)
+        else:
+            self._start_resume(local, addr, msg.info, out)
 
-    def _memory_path(self, msg: Message, src, out: Output) -> None:
+    def _memory_path(self, msg: Message, out: Output) -> None:
         """Master services the variable from its local memory."""
         addr = msg.addr
         op = msg.opcode
@@ -336,8 +386,11 @@ class Coordinator:
             out.table_events.append(("st_release", addr))
             meta.backing = "record"
             self.counters.increment(addr)
+        if op in _OVERFLOW_ACQUIRES:
+            # the redirecting unit enrolled in the episode: it is owed a decrease
+            meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
 
-        _HANDLER[op](self, msg, src, out)
+        _HANDLER[op](self, msg, out)
 
         meta = self.meta.get(addr)
         assert meta is not None and meta.backing == "record"
@@ -361,181 +414,114 @@ class Coordinator:
 
     # -- locks -------------------------------------------------------------------
 
-    def _grant_lock_to_core(self, addr: int, core_id: int, out: Output) -> None:
-        tag = self.cond_resume.pop(core_id, None)
+    def _grant_lock(self, out: Output, level: int, who: int, addr: int) -> None:
+        tag = self.cond_resume.pop(who, None) if level == LOCAL else None
         if tag is None:
-            self._to_core(out, core_id, addr, Opcode.LOCK_GRANT_LOCAL)
+            self._send(out, level, who, addr, _LOCK_GRANT[level])
         else:
             # waking a condvar waiter: the grant carries the condvar, lock in info
-            self._to_core(out, core_id, tag, Opcode.COND_GRANT_LOCAL, addr)
+            self._send(out, LOCAL, who, tag, Opcode.COND_GRANT_LOCAL, addr)
 
-    def _lock_acquire_local(self, msg: Message, src, out: Output) -> None:
+    def _lock_acquire(self, msg: Message, out: Output) -> None:
         addr = msg.addr
-        core_id = msg.core_id
-        node = self._client(core_id)
+        level = _LEVEL[msg.opcode]
+        who = msg.core_id
         meta, fresh = self._get_or_reserve(addr, LOCK, out)
-        if self.is_master_for(addr):
-            if meta.owner is None:
-                assert not meta.locals and not meta.remote_agg and not meta.remote_ovf
-                meta.owner = node
-                self._grant_lock_to_core(addr, core_id, out)
-            else:
-                meta.locals |= 1 << core_id
-        else:
-            meta.locals |= 1 << core_id
+        if level == LOCAL and not self.is_master_for(addr):
+            # a non-master queues its cores and asks the master once for the unit
+            meta.locals |= 1 << who
             if fresh:
                 meta.pending_global = True
                 self._to_master(out, addr, Opcode.LOCK_ACQUIRE_GLOBAL)
             else:
                 assert meta.pending_global or meta.owner is not None
-
-    def _lock_acquire_global(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        s = src[1]
-        meta, _ = self._get_or_reserve(addr, LOCK, out)
-        if meta.owner is None:
-            assert not meta.locals and not meta.remote_agg
-            meta.owner = ("unit", s)
-            self._to_unit(out, s, addr, Opcode.LOCK_GRANT_GLOBAL, self.unit)
+        elif meta.owner is None:
+            assert not meta.locals and not meta.remote_agg and not meta.remote_ovf
+            meta.owner = (level, who)
+            self._grant_lock(out, level, who, addr)
         else:
-            meta.remote_agg |= 1 << s
+            self._enqueue(meta, level, who)
 
-    def _lock_acquire_overflow(self, msg: Message, src, out: Output) -> None:
+    def _lock_release(self, msg: Message, out: Output) -> None:
         addr = msg.addr
-        unit, local = unpack_core(msg.core_id, self.core_bits)
-        meta = self.meta[addr]
-        meta.ovf_units |= 1 << unit
-        if meta.owner is None:
-            meta.owner = ("core", unit, local)
-            self._to_unit(out, unit, addr, Opcode.LOCK_GRANT_OVERFLOW, msg.core_id)
-        else:
-            meta.remote_ovf |= 1 << msg.core_id
-
-    def _lock_release_local(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        node = self._client(msg.core_id)
+        level = _LEVEL[msg.opcode]
+        who = msg.core_id
         meta = self.meta.get(addr)
-        if meta is None or meta.owner != node:
-            raise ProtocolError(f"lock {addr:#x} released by non-owner core {node}")
-        if self.is_master_for(addr):
-            self._lock_next(addr, meta, out)
-        else:
-            meta.owner = None
-            if meta.locals:
-                self._grant_next_local(addr, meta, out)
-            else:
-                # one aggregated release covers every local handoff
-                self._to_master(out, addr, Opcode.LOCK_RELEASE_GLOBAL)
-                self._release_var(addr, meta, out)
-
-    def _lock_release_global(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        s = src[1]
-        meta = self.meta.get(addr)
-        if meta is None or meta.owner != ("unit", s):
-            raise ProtocolError(f"lock {addr:#x} released by non-owner unit {s}")
+        if meta is None or meta.owner != (level, who):
+            node = (self.clients[who] if level == LOCAL else ("unit", who) if level == GLOBAL
+                    else ("core", *unpack_core(who, self.core_bits)))
+            raise ProtocolError(f"lock {addr:#x} released by non-owner {node}")
+        if level == LOCAL and not meta.locals and not self.is_master_for(addr):
+            # one aggregated release covers every local handoff
+            self._to_master(out, addr, Opcode.LOCK_RELEASE_GLOBAL)
         self._lock_next(addr, meta, out)
 
-    def _lock_release_overflow(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        node = ("core", *unpack_core(msg.core_id, self.core_bits))
-        meta = self.meta.get(addr)
-        if meta is None or meta.owner != node:
-            raise ProtocolError(f"lock {addr:#x} released by non-owner overflow core {node}")
-        self._lock_next(addr, meta, out)
-
-    def _lock_grant_global(self, msg: Message, src, out: Output) -> None:
+    def _lock_grant_global(self, msg: Message, out: Output) -> None:
         addr = msg.addr
         meta = self.meta.get(addr)
         if meta is None or not meta.pending_global:
             raise ProtocolError(f"unsolicited lock grant for {addr:#x}")
         meta.pending_global = False
         assert meta.locals, "token granted with no local waiters"
-        self._grant_next_local(addr, meta, out)
-
-    def _grant_next_local(self, addr: int, meta: VarMeta, out: Output) -> None:
-        core_id = self._pop_local(meta)
-        meta.owner = self.clients[core_id]
-        self._grant_lock_to_core(addr, core_id, out)
+        self._lock_next(addr, meta, out)
 
     def _lock_next(self, addr: int, meta: VarMeta, out: Output) -> None:
-        """Master: hand the lock to the next waiter, locals first."""
-        meta.owner = None
-        if meta.locals:
-            self._grant_next_local(addr, meta, out)
-            return
-        agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
-        packed = self._pop_remote(meta, agg)
-        if packed is not None:
-            unit, local = unpack_core(packed, self.core_bits)
-            meta.owner = ("core", unit, local)
-            self._to_unit(out, unit, addr, Opcode.LOCK_GRANT_OVERFLOW, packed)
-        elif agg is not None:
-            meta.remote_agg &= ~(1 << agg)
-            meta.owner = ("unit", agg)
-            self._to_unit(out, agg, addr, Opcode.LOCK_GRANT_GLOBAL, self.unit)
-        else:
+        """Hand the lock to the next waiter, or free the variable if none waits.
+        A non-master has local waiters only."""
+        meta.owner = waiter = self._pop_waiter(meta)
+        if waiter is None:
             self._release_var(addr, meta, out)
+        else:
+            self._grant_lock(out, waiter[0], waiter[1], addr)
 
     # -- barriers ------------------------------------------------------------------
 
-    def _barrier_depart_global(self, msg: Message, src, out: Output) -> None:
+    def _barrier_wait(self, msg: Message, out: Output) -> None:
+        addr = msg.addr
+        level = _LEVEL[msg.opcode]
+        who = msg.core_id
+        info = msg.info
+        meta, _ = self._get_or_reserve(addr, BARRIER, out)
+        self._barrier_target(meta, info)
+        if level == LOCAL:
+            if meta.locals >> who & 1:
+                raise ProtocolError(f"core {self.clients[who]} arrived twice at barrier {addr:#x}")
+            meta.locals |= 1 << who
+            # a direct route or a one-unit barrier counts every arrival here
+            single_point = self.direct or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
+            if not single_point and not self.is_master_for(addr):
+                # partial participation forwards each arrival; a whole unit
+                # announces once all of it has arrived
+                if info != self.cfg.total_clients or \
+                        meta.locals.bit_count() == self.cfg.clients_per_unit:
+                    self._to_master(out, addr, Opcode.BARRIER_WAIT_GLOBAL, info)
+                return
+            meta.arrivals += 1
+        else:
+            self._enqueue(meta, level, who)
+            if level == GLOBAL and info == self.cfg.total_clients:
+                meta.arrivals += self.cfg.clients_per_unit  # a whole unit arrived at once
+            else:
+                meta.arrivals += 1
+        if meta.arrivals != meta.target:
+            return
+        for u in _bits(meta.remote_agg):
+            self._send(out, GLOBAL, u, addr, Opcode.BARRIER_DEPART_GLOBAL)
+        meta.remote_agg = 0
+        for packed in _bits(meta.remote_ovf):
+            self._send(out, OVERFLOW, packed, addr, Opcode.BARRIER_DEPARTURE_OVERFLOW)
+        meta.remote_ovf = 0
+        self._barrier_depart_locals(addr, meta, out)
+        meta.arrivals = 0
+        self._release_var(addr, meta, out)
+
+    def _barrier_depart_global(self, msg: Message, out: Output) -> None:
         addr = msg.addr
         meta = self.meta.get(addr)
         if meta is None:
             raise ProtocolError(f"barrier departure for unknown variable {addr:#x}")
         self._barrier_depart_locals(addr, meta, out)
         self._release_var(addr, meta, out)
-
-    def _barrier_wait_global(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        s = src[1]
-        meta, _ = self._get_or_reserve(addr, BARRIER, out)
-        self._barrier_target(meta, msg.info)
-        meta.remote_agg |= 1 << s
-        if msg.info == self.cfg.total_clients:
-            meta.arrivals += self.cfg.clients_per_unit  # a whole unit arrived at once
-        else:
-            meta.arrivals += 1
-        self._barrier_check(addr, meta, out)
-
-    def _barrier_wait_overflow(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        meta = self.meta[addr]
-        self._barrier_target(meta, msg.info)
-        meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
-        meta.remote_ovf |= 1 << msg.core_id
-        meta.arrivals += 1
-        self._barrier_check(addr, meta, out)
-
-    def _barrier_wait_local(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        core_id = msg.core_id
-        node = self._client(core_id)
-        meta, _ = self._get_or_reserve(addr, BARRIER, out)
-        self._barrier_target(meta, msg.info)
-        if meta.locals >> core_id & 1:
-            raise ProtocolError(f"core {node} arrived twice at barrier {addr:#x}")
-        meta.locals |= 1 << core_id
-
-        single_point = self.direct or msg.opcode is Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
-        if single_point:
-            meta.arrivals += 1
-            if meta.arrivals == meta.target:
-                self._barrier_depart_locals(addr, meta, out)
-                meta.arrivals = 0
-                self._release_var(addr, meta, out)
-            return
-
-        if self.is_master_for(addr):
-            meta.arrivals += 1
-            self._barrier_check(addr, meta, out)
-        elif msg.info != self.cfg.total_clients:
-            # partial participation: forward each arrival, track it for departure
-            self._to_master(out, addr, Opcode.BARRIER_WAIT_GLOBAL, msg.info)
-        elif meta.locals.bit_count() == self.cfg.clients_per_unit:
-            # two-level: announce once the whole unit has arrived
-            self._to_master(out, addr, Opcode.BARRIER_WAIT_GLOBAL, msg.info)
 
     def _barrier_target(self, meta: VarMeta, info: int) -> None:
         if meta.target == 0:
@@ -545,22 +531,8 @@ class Coordinator:
 
     def _barrier_depart_locals(self, addr: int, meta: VarMeta, out: Output) -> None:
         for core_id in _bits(meta.locals):
-            self._to_core(out, core_id, addr, Opcode.BARRIER_DEPART_LOCAL)
+            self._send(out, LOCAL, core_id, addr, Opcode.BARRIER_DEPART_LOCAL)
         meta.locals = 0
-
-    def _barrier_check(self, addr: int, meta: VarMeta, out: Output) -> None:
-        if meta.arrivals != meta.target:
-            return
-        for u in _bits(meta.remote_agg):
-            self._to_unit(out, u, addr, Opcode.BARRIER_DEPART_GLOBAL, self.unit)
-        meta.remote_agg = 0
-        for packed in _bits(meta.remote_ovf):
-            self._to_unit(out, packed >> self.core_bits, addr,
-                          Opcode.BARRIER_DEPARTURE_OVERFLOW, packed)
-        meta.remote_ovf = 0
-        self._barrier_depart_locals(addr, meta, out)
-        meta.arrivals = 0
-        self._release_var(addr, meta, out)
 
     # -- semaphores -----------------------------------------------------------------
 
@@ -572,68 +544,39 @@ class Coordinator:
             raise ProtocolError(
                 f"semaphore initial resources re-declared: {meta.sem_declared} vs {initial}")
 
-    def _sem_wait_local(self, msg: Message, src, out: Output) -> None:
+    def _sem_wait(self, msg: Message, out: Output) -> None:
         addr = msg.addr
-        core_id = msg.core_id
-        self._client(core_id)
+        level = _LEVEL[msg.opcode]
+        who = msg.core_id
         meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-        if self.is_master_for(addr):
-            self._sem_declare(meta, msg.info)
-            if meta.sem_count > 0:
-                meta.sem_count -= 1
-                self._to_core(out, core_id, addr, Opcode.SEM_GRANT_LOCAL)
+        if level == LOCAL and not self.is_master_for(addr):
+            if meta.sem_credit > 0:
+                meta.sem_credit -= 1
+                self._send(out, LOCAL, who, addr, Opcode.SEM_GRANT_LOCAL)
             else:
-                meta.locals |= 1 << core_id
-            self._release_if_quiesced(addr, meta, out)
-        elif meta.sem_credit > 0:
-            meta.sem_credit -= 1
-            self._to_core(out, core_id, addr, Opcode.SEM_GRANT_LOCAL)
+                meta.locals |= 1 << who
+                self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
+            return
+        if level == GLOBAL:
+            # a unit's waiters: its initial resources high, how many wait low
+            self._sem_declare(meta, msg.info >> 32)
+            meta.sem_demand[who] = meta.sem_demand.get(who, 0) + (msg.info & 0xFFFFFFFF)
         else:
-            meta.locals |= 1 << core_id
-            self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
-
-    def _sem_wait_global(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        s = src[1]
-        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-        self._sem_declare(meta, msg.info >> 32)
-        meta.sem_demand[s] = meta.sem_demand.get(s, 0) + (msg.info & 0xFFFFFFFF)
+            self._sem_declare(meta, msg.info)
+            self._enqueue(meta, level, who)
         self._sem_drain(addr, meta, out)
 
-    def _sem_wait_overflow(self, msg: Message, src, out: Output) -> None:
+    def _sem_post(self, msg: Message, out: Output) -> None:
         addr = msg.addr
-        unit = msg.core_id >> self.core_bits
-        meta = self.meta[addr]
-        meta.ovf_units |= 1 << unit
-        self._sem_declare(meta, msg.info)
-        if meta.sem_count > 0:
-            meta.sem_count -= 1
-            self._to_unit(out, unit, addr, Opcode.SEM_GRANT_OVERFLOW, msg.core_id)
-        else:
-            meta.remote_ovf |= 1 << msg.core_id
-
-    def _sem_post_local(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        if self.is_master_for(addr):
-            meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-            meta.sem_count += 1
-            self._sem_drain(addr, meta, out)
-        else:
+        level = _LEVEL[msg.opcode]
+        if level == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.SEM_POST_GLOBAL, 1)
-
-    def _sem_post_global(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
+            return
         meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
-        meta.sem_count += msg.info
+        meta.sem_count += msg.info if level == GLOBAL else 1
         self._sem_drain(addr, meta, out)
 
-    def _sem_post_overflow(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        meta = self.meta[addr]
-        meta.sem_count += 1
-        self._sem_drain(addr, meta, out)
-
-    def _sem_grant_global(self, msg: Message, src, out: Output) -> None:
+    def _sem_grant_global(self, msg: Message, out: Output) -> None:
         addr = msg.addr
         meta = self.meta.get(addr)
         if meta is None:
@@ -641,81 +584,83 @@ class Coordinator:
         meta.sem_credit += msg.info
         while meta.sem_credit > 0 and meta.locals:
             meta.sem_credit -= 1
-            self._to_core(out, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
+            self._send(out, LOCAL, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
         if not meta.locals and meta.sem_credit == 0:
             self._release_var(addr, meta, out)
 
     def _sem_drain(self, addr: int, meta: VarMeta, out: Output) -> None:
+        """Master: spend the count on waiters, locals first, then in
+        `_pop_remote`'s order; an aggregate takes as much as it asked for."""
         while meta.sem_count > 0 and meta.locals:
             meta.sem_count -= 1
-            self._to_core(out, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
-        while meta.sem_count > 0:
+            self._send(out, LOCAL, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
+        while meta.sem_count > 0 and (meta.remote_ovf or meta.sem_demand):
             agg = min(meta.sem_demand, default=None)
             packed = self._pop_remote(meta, agg)
             if packed is not None:
                 meta.sem_count -= 1
-                self._to_unit(out, packed >> self.core_bits, addr,
-                              Opcode.SEM_GRANT_OVERFLOW, packed)
-            elif agg is not None:
+                self._send(out, OVERFLOW, packed, addr, Opcode.SEM_GRANT_OVERFLOW)
+            else:
                 batch = min(meta.sem_count, meta.sem_demand[agg])
                 meta.sem_count -= batch
                 if meta.sem_demand[agg] == batch:
                     del meta.sem_demand[agg]
                 else:
                     meta.sem_demand[agg] -= batch
-                self._to_unit(out, agg, addr, Opcode.SEM_GRANT_GLOBAL, self.unit, batch)
-            else:
-                break
+                self._send(out, GLOBAL, agg, addr, Opcode.SEM_GRANT_GLOBAL, batch)
         self._release_if_quiesced(addr, meta, out)
 
     # -- condition variables -----------------------------------------------------------
 
-    def _cond_wait_local(self, msg: Message, src, out: Output) -> None:
+    def _cond_wait(self, msg: Message, out: Output) -> None:
         addr = msg.addr
-        core_id = msg.core_id
-        self._client(core_id)
+        level = _LEVEL[msg.opcode]
         meta, _ = self._get_or_reserve(addr, CONDVAR, out)
         self._cond_lock_set(meta, msg.info)
-        meta.locals |= 1 << core_id
-        if not self.is_master_for(addr) and not meta.pending_global:
+        self._enqueue(meta, level, msg.core_id)
+        if level == LOCAL and not meta.pending_global and not self.is_master_for(addr):
             meta.pending_global = True
             self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, msg.info)
 
-    def _cond_wait_global(self, msg: Message, src, out: Output) -> None:
+    def _cond_signal(self, msg: Message, out: Output) -> None:
+        """Wake the next waiter; with none parked the signal is lost."""
         addr = msg.addr
-        s = src[1]
-        meta, _ = self._get_or_reserve(addr, CONDVAR, out)
-        self._cond_lock_set(meta, msg.info)
-        meta.remote_agg |= 1 << s
-
-    def _cond_wait_overflow(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        meta = self.meta[addr]
-        self._cond_lock_set(meta, msg.info)
-        meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
-        meta.remote_ovf |= 1 << msg.core_id
-
-    def _cond_signal_local(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        if self.is_master_for(addr):
-            self._cond_wake_one(addr, out)
-        else:
+        if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_SIGNAL_GLOBAL)
-
-    def _cond_broad_local(self, msg: Message, src, out: Output) -> None:
-        addr = msg.addr
-        if self.is_master_for(addr):
-            self._cond_wake_all(addr, out)
+            return
+        meta = self.meta.get(addr)
+        waiter = None if meta is None else self._pop_waiter(meta)
+        if waiter is None:
+            return
+        level, who = waiter
+        if level == LOCAL:
+            self._start_resume(who, addr, meta.cond_lock, out)
+        elif level == GLOBAL:
+            self._send(out, GLOBAL, who, addr, Opcode.COND_GRANT_GLOBAL, 1)
         else:
+            self._send(out, OVERFLOW, who, addr, Opcode.COND_GRANT_OVERFLOW, meta.cond_lock)
+        self._release_if_quiesced(addr, meta, out)
+
+    def _cond_broadcast(self, msg: Message, out: Output) -> None:
+        """Wake every waiter: local cores, then overflow cores, then units."""
+        addr = msg.addr
+        if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_BROAD_GLOBAL)
+            return
+        meta = self.meta.get(addr)
+        if meta is None:
+            return
+        while meta.locals:
+            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
+        for packed in _bits(meta.remote_ovf):
+            self._send(out, OVERFLOW, packed, addr, Opcode.COND_GRANT_OVERFLOW, meta.cond_lock)
+        meta.remote_ovf = 0
+        for u in _bits(meta.remote_agg):
+            self._send(out, GLOBAL, u, addr, Opcode.COND_GRANT_GLOBAL, WAKE_ALL)
+        meta.remote_agg = 0
+        self._release_if_quiesced(addr, meta, out)
 
-    def _cond_signal_forwarded(self, msg: Message, src, out: Output) -> None:
-        self._cond_wake_one(msg.addr, out)
-
-    def _cond_broad_forwarded(self, msg: Message, src, out: Output) -> None:
-        self._cond_wake_all(msg.addr, out)
-
-    def _cond_grant_global(self, msg: Message, src, out: Output) -> None:
+    def _cond_grant_global(self, msg: Message, out: Output) -> None:
         addr = msg.addr
         meta = self.meta.get(addr)
         if meta is None or not meta.locals:
@@ -735,40 +680,6 @@ class Coordinator:
         elif meta.cond_lock != lock_addr:
             raise ProtocolError(
                 f"condvar associated with lock {meta.cond_lock:#x}, wait names {lock_addr:#x}")
-
-    def _cond_wake_one(self, addr: int, out: Output) -> None:
-        meta = self.meta.get(addr)
-        if meta is None:
-            return  # lost signal
-        if meta.locals:
-            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
-        else:
-            agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
-            packed = self._pop_remote(meta, agg)
-            if packed is not None:
-                self._to_unit(out, packed >> self.core_bits, addr, Opcode.COND_GRANT_OVERFLOW,
-                              packed, meta.cond_lock)
-            elif agg is not None:
-                meta.remote_agg &= ~(1 << agg)
-                self._to_unit(out, agg, addr, Opcode.COND_GRANT_GLOBAL, self.unit, 1)
-            else:
-                return  # lost signal
-        self._release_if_quiesced(addr, meta, out)
-
-    def _cond_wake_all(self, addr: int, out: Output) -> None:
-        meta = self.meta.get(addr)
-        if meta is None:
-            return
-        while meta.locals:
-            self._start_resume(self._pop_local(meta), addr, meta.cond_lock, out)
-        for packed in _bits(meta.remote_ovf):
-            self._to_unit(out, packed >> self.core_bits, addr, Opcode.COND_GRANT_OVERFLOW,
-                          packed, meta.cond_lock)
-        meta.remote_ovf = 0
-        for u in _bits(meta.remote_agg):
-            self._to_unit(out, u, addr, Opcode.COND_GRANT_GLOBAL, self.unit, WAKE_ALL)
-        meta.remote_agg = 0
-        self._release_if_quiesced(addr, meta, out)
 
     def _start_resume(self, core_id: int, cv_addr: int, lock_addr: int, out: Output) -> None:
         """Wake one waiter: re-acquire its lock, then deliver the cond grant."""
@@ -808,36 +719,23 @@ def _route(op: Opcode):
 # `op is Opcode.X` tests, each of which pays for an EnumType.__getattr__ call.
 _ROUTE = {op: _route(op) for op in Opcode}
 
-# the state-machine step for each opcode; a coordinator serves no core-bound one
-_HANDLER = {op: Coordinator._not_served for op in Opcode}
+# the state-machine step for each opcode: one per action, whatever the
+# level, by the name's first two words; a coordinator serves no core-bound one
+_ACTIONS = {
+    "LOCK_ACQUIRE": Coordinator._lock_acquire,
+    "LOCK_RELEASE": Coordinator._lock_release,
+    "BARRIER_WAIT": Coordinator._barrier_wait,
+    "SEM_WAIT": Coordinator._sem_wait,
+    "SEM_POST": Coordinator._sem_post,
+    "COND_WAIT": Coordinator._cond_wait,
+    "COND_SIGNAL": Coordinator._cond_signal,
+    "COND_BROAD": Coordinator._cond_broadcast,
+}
+_HANDLER = {op: _ACTIONS.get("_".join(op.name.split("_")[:2]), Coordinator._not_served)
+            for op in Opcode}
 _HANDLER.update({
-    Opcode.LOCK_ACQUIRE_LOCAL: Coordinator._lock_acquire_local,
-    Opcode.LOCK_ACQUIRE_GLOBAL: Coordinator._lock_acquire_global,
-    Opcode.LOCK_ACQUIRE_OVERFLOW: Coordinator._lock_acquire_overflow,
-    Opcode.LOCK_RELEASE_LOCAL: Coordinator._lock_release_local,
-    Opcode.LOCK_RELEASE_GLOBAL: Coordinator._lock_release_global,
-    Opcode.LOCK_RELEASE_OVERFLOW: Coordinator._lock_release_overflow,
     Opcode.LOCK_GRANT_GLOBAL: Coordinator._lock_grant_global,
-    Opcode.BARRIER_WAIT_GLOBAL: Coordinator._barrier_wait_global,
-    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: Coordinator._barrier_wait_local,
-    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: Coordinator._barrier_wait_local,
     Opcode.BARRIER_DEPART_GLOBAL: Coordinator._barrier_depart_global,
-    Opcode.BARRIER_WAIT_OVERFLOW: Coordinator._barrier_wait_overflow,
-    Opcode.SEM_WAIT_LOCAL: Coordinator._sem_wait_local,
-    Opcode.SEM_WAIT_GLOBAL: Coordinator._sem_wait_global,
-    Opcode.SEM_WAIT_OVERFLOW: Coordinator._sem_wait_overflow,
-    Opcode.SEM_POST_LOCAL: Coordinator._sem_post_local,
-    Opcode.SEM_POST_GLOBAL: Coordinator._sem_post_global,
-    Opcode.SEM_POST_OVERFLOW: Coordinator._sem_post_overflow,
     Opcode.SEM_GRANT_GLOBAL: Coordinator._sem_grant_global,
-    Opcode.COND_WAIT_LOCAL: Coordinator._cond_wait_local,
-    Opcode.COND_WAIT_GLOBAL: Coordinator._cond_wait_global,
-    Opcode.COND_WAIT_OVERFLOW: Coordinator._cond_wait_overflow,
-    Opcode.COND_SIGNAL_LOCAL: Coordinator._cond_signal_local,
-    Opcode.COND_BROAD_LOCAL: Coordinator._cond_broad_local,
-    Opcode.COND_SIGNAL_GLOBAL: Coordinator._cond_signal_forwarded,
-    Opcode.COND_SIGNAL_OVERFLOW: Coordinator._cond_signal_forwarded,
-    Opcode.COND_BROAD_GLOBAL: Coordinator._cond_broad_forwarded,
-    Opcode.COND_BROAD_OVERFLOW: Coordinator._cond_broad_forwarded,
     Opcode.COND_GRANT_GLOBAL: Coordinator._cond_grant_global,
 })

@@ -109,20 +109,15 @@ class LatencyModel:
             model.inter_line_ps = int(round(link_latency_ns * 1000))
         return model
 
-    def lines(self, nbytes: int) -> int:
-        return -(-nbytes // LINE_BYTES)
-
-    def memory_latency_ps(self, write: bool) -> int:
-        return self.mem_write_ps if write else self.mem_read_ps
-
     def transfer_latency_ps(self, same_unit: bool, nbytes: int) -> int:
-        """Idle-network latency of one transfer, endpoint to endpoint."""
+        """Idle-network latency of one transfer, endpoint to endpoint: the
+        closed form of what Network.send_message charges on idle links."""
         if nbytes <= 0:
             raise ValueError("transfer requires a positive byte count")
         if same_unit:
             return self.intra_segment_ps
         return (2 * self.intra_segment_ps
-                + self.lines(nbytes) * self.inter_line_ps + self.inter_fixed_ps)
+                + -(-nbytes // LINE_BYTES) * self.inter_line_ps + self.inter_fixed_ps)
 
 
 @dataclass
@@ -143,9 +138,6 @@ class EnergyModel:
 
     def memory_fj(self, nbytes: int = LINE_BYTES) -> int:
         return nbytes * 8 * self.mem_fj_per_bit
-
-    def cache_fj(self, hit: bool) -> int:
-        return self.l1_hit_fj if hit else self.l1_miss_fj
 
 
 class Stats:

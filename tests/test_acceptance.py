@@ -218,12 +218,12 @@ def test_criterion_12_unit_arithmetic(capsys):
                     "ddr4": (55_000, 34_000)}
         for tech, (read_ps, write_ps) in expected.items():
             model = LatencyModel.create(tech)
-            assert model.memory_latency_ps(False) == read_ps
-            assert model.memory_latency_ps(True) == write_ps
+            assert model.mem_read_ps == read_ps
+            assert model.mem_write_ps == write_ps
 
         en = EnergyModel()
         assert en.intra_fj(18) == 57_600        # 57.6 pJ
         assert en.inter_fj(18) == 576_000
         assert en.memory_fj(64) == 3_584_000    # 3.584 nJ
-        assert en.cache_fj(True) == 23_000
-        assert en.cache_fj(False) == 47_000
+        assert en.l1_hit_fj == 23_000
+        assert en.l1_miss_fj == 47_000

@@ -221,6 +221,68 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
     assert coord.counters.total() == 0
 
 
+def test_semaphore_master_serves_local_first_then_lowest_unit_overflow_before_aggregate():
+    # the semaphore counterpart of the lock test above, with no initial
+    # resources: one waiter each, then one post at a time from a unit-0 core
+    cfg = SystemConfig(num_units=4, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    addr = 64
+    coord.handle(Message(addr, Opcode.SEM_WAIT_LOCAL, 0, 0), ("core", 0, 0))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 3, 1), ("coord", 3))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 1, 1), ("coord", 1))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1))
+    assert coord.meta[addr].backing == "record"
+
+    post = Message(addr, Opcode.SEM_POST_LOCAL, 1, 0)
+    sends = [[(dst, m.opcode, m.core_id, m.info) for dst, m in coord.handle(post, ("core", 0, 1)).sends]
+             for _ in range(5)]
+    assert sends == [
+        [(("core", 0, 0), Opcode.SEM_GRANT_LOCAL, 0, 0)],             # the local waiter
+        [(("coord", 1), Opcode.SEM_GRANT_OVERFLOW, 1 << 2 | 1, 0)],   # unit 1's overflow core
+        [(("coord", 1), Opcode.SEM_GRANT_GLOBAL, 0, 1)],              # then unit 1's aggregate
+        [(("coord", 2), Opcode.SEM_GRANT_OVERFLOW, 2 << 2 | 0, 0)],
+        [(("coord", 3), Opcode.SEM_GRANT_GLOBAL, 0, 1),
+         (("coord", 1), Opcode.DECREASE_INDEXING_COUNTER, 0, 0),
+         (("coord", 2), Opcode.DECREASE_INDEXING_COUNTER, 0, 0)],
+    ]
+    assert coord.meta == {}
+    assert coord.counters.total() == 0
+
+
+def test_condvar_master_wakes_local_first_then_lowest_unit_overflow_before_aggregate():
+    # the condvar counterpart: each waiter names lock 128, also mastered by
+    # unit 0; one signal at a time from a unit-0 core
+    cfg = SystemConfig(num_units=4, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    cv, lock = 64, 128
+    coord.handle(Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
+    coord.handle(Message(cv, Opcode.COND_WAIT_LOCAL, 0, lock), ("core", 0, 0))
+    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 3, lock), ("coord", 3))
+    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 2 << 2 | 0, lock), ("coord", 2))
+    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 1, lock), ("coord", 1))
+    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 1 << 2 | 1, lock), ("coord", 1))
+    assert coord.meta[cv].backing == "record"
+
+    signal = Message(cv, Opcode.COND_SIGNAL_LOCAL, 1, 0)
+    outs = [coord.handle(signal, ("core", 0, 1)) for _ in range(5)]
+    # the local waiter resumes by re-acquiring its lock at this coordinator
+    assert outs[0].internal == [Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, 0, cv)]
+    assert all(out.internal == [] for out in outs[1:])
+    sends = [[(dst, m.opcode, m.core_id, m.info) for dst, m in out.sends] for out in outs]
+    assert sends == [
+        [],
+        [(("coord", 1), Opcode.COND_GRANT_OVERFLOW, 1 << 2 | 1, lock)],  # unit 1's overflow core
+        [(("coord", 1), Opcode.COND_GRANT_GLOBAL, 0, 1)],                # then unit 1's aggregate
+        [(("coord", 2), Opcode.COND_GRANT_OVERFLOW, 2 << 2 | 0, lock)],
+        [(("coord", 3), Opcode.COND_GRANT_GLOBAL, 0, 1),
+         (("coord", 1), Opcode.DECREASE_INDEXING_COUNTER, 0, 0),
+         (("coord", 2), Opcode.DECREASE_INDEXING_COUNTER, 0, 0)],
+    ]
+    assert coord.meta == {}
+    assert coord.counters.total() == 0
+
+
 @pytest.mark.parametrize("scheme, core_id", [
     ("flat", 2),      # packed {unit 0, core 2}: the core slot no client uses
     ("flat", 3),      # packed {unit 0, core 3}: no such core
@@ -229,9 +291,12 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
 ])
 def test_request_from_non_client_core_id_rejected(scheme, core_id):
     cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
-    coord = Coordinator(cfg, 0)
-    with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, core_id, 0), ("core", 0, 2))
+    for op in (Opcode.LOCK_ACQUIRE_LOCAL, Opcode.SEM_POST_LOCAL,
+               Opcode.COND_SIGNAL_LOCAL, Opcode.COND_BROAD_LOCAL):
+        coord = Coordinator(cfg, 0)
+        with pytest.raises(ProtocolError, match="names no client"):
+            coord.handle(Message(64, op, core_id, 0), ("core", 0, 2))
+        assert coord.meta == {}
 
 
 # -- barriers ------------------------------------------------------------------

@@ -90,15 +90,17 @@ def test_memory_latency_per_technology():
     assert DRAM_PS["ddr4"] == (55_000, 34_000)
     hbm = LatencyModel.create("hbm")
     ddr4 = LatencyModel.create("ddr4")
-    assert hbm.memory_latency_ps(write=False) < ddr4.memory_latency_ps(write=False)
+    assert hbm.mem_read_ps < ddr4.mem_read_ps
     # determinism: same tech and op give the same number every time
-    assert hbm.memory_latency_ps(False) == LatencyModel.create("hbm").memory_latency_ps(False)
+    assert hbm.mem_read_ps == LatencyModel.create("hbm").mem_read_ps
 
 
 def test_memory_latency_override_respected():
     lat = LatencyModel.create("hbm")
     lat.mem_read_ps = 99_000
-    assert lat.memory_latency_ps(write=False) == 99_000
+    net = Network(SystemConfig(num_units=1, cores_per_unit=4), lat, Stats())
+    # 18B command segment, the overridden DRAM read, 64B line segment
+    assert net.memory_access(0, 0, write=False, t=0) == 800 + 99_000 + 800
 
 
 def test_unknown_memory_tech_rejected():
@@ -122,8 +124,8 @@ def test_energy_arithmetic():
     assert en.intra_fj(18) == 144 * 400          # 57.6 pJ
     assert en.memory_fj(64) == 512 * 7_000       # 3.584 nJ
     assert en.inter_fj(64) == 512 * 4_000
-    assert en.cache_fj(hit=True) == 23_000
-    assert en.cache_fj(hit=False) == 47_000
+    assert en.l1_hit_fj == 23_000
+    assert en.l1_miss_fj == 47_000
 
 
 # -- network ------------------------------------------------------------------
@@ -153,6 +155,16 @@ def test_send_message_cross_unit_idle():
     assert stats.bytes_intra == 2 * 18 and stats.bytes_inter == 18
     en = EnergyModel()
     assert stats.energy_network_fj == 2 * en.intra_fj(18) + en.inter_fj(18)
+
+
+def test_idle_send_takes_the_closed_form_transfer_latency():
+    cfg = SystemConfig(num_units=2, cores_per_unit=4)
+    for lat in (LatencyModel.create(), LatencyModel.create("hbm", link_latency_ns=500)):
+        for dst, same_unit in ((("coord", 0), True), (("coord", 1), False)):
+            net = Network(cfg, lat, Stats())
+            sent = 3_000
+            arrival = net.send_message(("core", 0, 0), dst, sent)
+            assert arrival - sent == lat.transfer_latency_ps(same_unit, 18)  # one message
 
 
 def test_link_is_fifo_per_direction():
