@@ -156,12 +156,11 @@ class Coordinator:
     def is_master_for(self, addr: int) -> bool:
         return master_se_of(self.cfg, addr) == self.unit
 
-    def _client(self, core_id: int):
-        """Node of the client core that sends `core_id` here."""
-        node = self.clients.get(core_id)
-        if node is None:
+    def _client(self, core_id: int) -> None:
+        """Reject a core id that names no client core sending here. Callers
+        test membership in `clients` first, so a valid request pays no call."""
+        if core_id not in self.clients:
             raise ProtocolError(f"core id {core_id} names no client of coordinator {self.unit}")
-        return node
 
     def _send(self, out: Output, level: int, who: int, addr: int, op: Opcode,
               info: int = 0) -> None:
@@ -254,7 +253,7 @@ class Coordinator:
         if meta.locals:
             return LOCAL, self._pop_local(meta)
         agg = _low_bit(meta.remote_agg) if meta.remote_agg else None
-        packed = self._pop_remote(meta, agg)
+        packed = self._pop_remote(meta, agg) if meta.remote_ovf else None
         if packed is not None:
             return OVERFLOW, packed
         if agg is None:
@@ -294,7 +293,7 @@ class Coordinator:
         addr = msg.addr
         op = msg.opcode
         if op in _CLIENT_REQUESTS and msg.core_id not in self.clients:
-            self._client(msg.core_id)  # raises: only this coordinator's clients ask locally
+            self._client(msg.core_id)
         meta = self.meta.get(addr)
 
         if meta is not None and meta.backing == "record":
@@ -415,12 +414,17 @@ class Coordinator:
     # -- locks -------------------------------------------------------------------
 
     def _grant_lock(self, out: Output, level: int, who: int, addr: int) -> None:
-        tag = self.cond_resume.pop(who, None) if level == LOCAL else None
-        if tag is None:
+        if level != LOCAL:
             self._send(out, level, who, addr, _LOCK_GRANT[level])
+            return
+        # a local grant, the most frequent send, skips _send's level dispatch
+        node = self.clients[who]
+        tag = self.cond_resume.pop(who, None)
+        if tag is None:
+            out.sends.append((node, Message(addr, Opcode.LOCK_GRANT_LOCAL, node[2], 0)))
         else:
             # waking a condvar waiter: the grant carries the condvar, lock in info
-            self._send(out, LOCAL, who, tag, Opcode.COND_GRANT_LOCAL, addr)
+            out.sends.append((node, Message(tag, Opcode.COND_GRANT_LOCAL, node[2], addr)))
 
     def _lock_acquire(self, msg: Message, out: Output) -> None:
         addr = msg.addr
