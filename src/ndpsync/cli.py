@@ -3,7 +3,8 @@
 Outputs (all under --out, default current directory):
   stats.json   schema_version, the resolved configuration(s), full statistics
   stats.csv    one flattened row per run, stable column order
-  trace.jsonl  one JSON object per trace record      (with --trace)
+  trace.jsonl  one JSON object per trace record      (with --trace),
+               streamed in fixed-size chunks of records
   trace.bin    concatenated 18-byte wire messages    (with --trace)
 
 Identical invocations produce byte-identical outputs.
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .sim import LatencyModel, Simulation, Stats, trace_jsonl
+from .sim import LatencyModel, Simulation, Stats, write_trace_jsonl
 from .topology import MEMORY_TECHS, MIB, SCHEMES, SystemConfig
 from .verifier import verify_trace
 from .workloads import WORKLOAD_NAMES, check_workload, make_workload
@@ -249,7 +250,8 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_trace(out: Path, suffix: str, sim: Simulation) -> None:
-    (out / f"trace{suffix}.jsonl").write_text(trace_jsonl(sim.trace))
+    with open(out / f"trace{suffix}.jsonl", "wb") as f:
+        write_trace_jsonl(sim.trace, f)
     (out / f"trace{suffix}.bin").write_bytes(sim.wire_log)
 
 

@@ -115,7 +115,6 @@ class VarMeta:
     sem_count: int = 0
     sem_declared: int | None = None
     sem_demand: dict = field(default_factory=dict)  # unit -> outstanding remote waiters
-    sem_credit: int = 0             # non-master: grants received, not yet consumed
     # condition variable
     cond_lock: int = 0
 
@@ -263,9 +262,8 @@ class Coordinator:
 
     # -- top-level dispatch ---------------------------------------------------
 
-    def handle(self, msg: Message, src) -> Output:
-        """Serve one message from node `src`. The state machines need only the
-        message: its core id names the requester at every level."""
+    def handle(self, msg: Message) -> Output:
+        """Serve one message. Its core id names the requester at every level."""
         out = Output()
         _ROUTE[msg.opcode](self, msg, out)
         return out
@@ -403,7 +401,7 @@ class Coordinator:
     def _quiesced(self, meta: VarMeta) -> bool:
         if meta.locals or meta.remote_agg or meta.sem_demand or meta.owner is not None:
             return False
-        if meta.remote_ovf or meta.arrivals or meta.sem_credit:
+        if meta.remote_ovf or meta.arrivals:
             return False
         if meta.primitive == SEMAPHORE:
             if meta.sem_declared is None:
@@ -554,12 +552,8 @@ class Coordinator:
         who = msg.core_id
         meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
         if level == LOCAL and not self.is_master_for(addr):
-            if meta.sem_credit > 0:
-                meta.sem_credit -= 1
-                self._send(out, LOCAL, who, addr, Opcode.SEM_GRANT_LOCAL)
-            else:
-                meta.locals |= 1 << who
-                self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
+            meta.locals |= 1 << who
+            self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
             return
         if level == GLOBAL:
             # a unit's waiters: its initial resources high, how many wait low
@@ -585,11 +579,13 @@ class Coordinator:
         meta = self.meta.get(addr)
         if meta is None:
             raise ProtocolError(f"semaphore grant for unknown variable {addr:#x}")
-        meta.sem_credit += msg.info
-        while meta.sem_credit > 0 and meta.locals:
-            meta.sem_credit -= 1
+        # the master grants a unit at most its demand, one per parked waiter
+        if msg.info > meta.locals.bit_count():
+            raise ProtocolError(f"semaphore grant of {msg.info} for {addr:#x} exceeds "
+                                f"the {meta.locals.bit_count()} parked waiters")
+        for _ in range(msg.info):
             self._send(out, LOCAL, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
-        if not meta.locals and meta.sem_credit == 0:
+        if not meta.locals:
             self._release_var(addr, meta, out)
 
     def _sem_drain(self, addr: int, meta: VarMeta, out: Output) -> None:

@@ -245,14 +245,19 @@ class TraceRecord:
 
 # One trace.jsonl line per record: the bytes of json.dumps(rec.to_json_dict(),
 # sort_keys=True) and a newline. Kinds are plain identifiers, so "%s" needs no
-# JSON escaping.
+# JSON escaping, and every line is ASCII.
 _JSONL_LINE = '{"addr": %d, "info": %d, "kind": "%s", "local": %d, "t": %d, "unit": %d}\n'
+_JSONL_CHUNK = 4096  # records formatted per write
 
 
-def trace_jsonl(trace) -> str:
-    """The trace.jsonl text of `trace`; empty for no records."""
+def write_trace_jsonl(trace, f) -> None:
+    """Write the trace.jsonl bytes of `trace` to the binary file `f`, one
+    chunk of _JSONL_CHUNK records per write, so the whole text never exists
+    at once. Writes nothing for no records."""
     line = _JSONL_LINE
-    return "".join([line % (r.addr, r.info, r.kind, r.local, r.t, r.unit) for r in trace])
+    for i in range(0, len(trace), _JSONL_CHUNK):
+        f.write("".join([line % (r.addr, r.info, r.kind, r.local, r.t, r.unit)
+                         for r in trace[i:i + _JSONL_CHUNK]]).encode("ascii"))
 
 
 class Network:
@@ -663,7 +668,7 @@ class Simulation:
     def _start_service(self, crt: _Coord, t: int) -> None:
         msg, src = crt.inbox.popleft()
         coord = crt.coordinator
-        out = coord.handle(msg, src)
+        out = coord.handle(msg)
         if out.table_events:  # a reserve or release: occupancy changes from t
             self._occ_sample(crt, t)
 

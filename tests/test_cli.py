@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import ndpsync
 from ndpsync import cli
 from ndpsync.engine import WAKE_ALL
 from ndpsync.errors import ConfigError
-from ndpsync.sim import TraceRecord
+from ndpsync.sim import _JSONL_CHUNK, TraceRecord
 
 SMALL = ["--units", "2", "--cores-per-unit", "4"]
 
@@ -170,6 +171,32 @@ def test_trace_jsonl_edge_records_and_empty_trace(tmp_path):
     cli._write_trace(tmp_path, "_empty", SimpleNamespace(trace=[], wire_log=bytearray()))
     assert read(tmp_path / "trace_empty.jsonl") == b""
     assert read(tmp_path / "trace_empty.bin") == b""
+
+
+def synthetic_trace(n):
+    kinds = sorted(TRACE_KINDS)
+    return [TraceRecord(i * 1_000, kinds[i % len(kinds)], i % 4, i % 17 - 1, 64 * (i % 512), i % 3)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [_JSONL_CHUNK, 2 * _JSONL_CHUNK + 1])
+def test_trace_jsonl_chunk_boundaries(tmp_path, n):
+    records = synthetic_trace(n)
+    cli._write_trace(tmp_path, "", SimpleNamespace(trace=records, wire_log=bytearray()))
+    assert read(tmp_path / "trace.jsonl") == reference_jsonl(records)
+
+
+def test_trace_jsonl_writer_never_holds_the_whole_text(tmp_path):
+    # 100k records make about 9 MiB of text; the writer holds one chunk of it
+    sim = SimpleNamespace(trace=synthetic_trace(100_000), wire_log=bytearray())
+    tracemalloc.start()
+    try:
+        cli._write_trace(tmp_path, "", sim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.jsonl").stat().st_size > 8 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_sweep_outputs_one_row_per_run(tmp_path):

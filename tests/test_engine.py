@@ -128,7 +128,7 @@ def test_decrease_at_zero_counter_rejected():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
     coord = Coordinator(cfg, 1)
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.DECREASE_INDEXING_COUNTER, 0, 0), ("coord", 0))
+        coord.handle(Message(64, Opcode.DECREASE_INDEXING_COUNTER, 0, 0))
 
 
 # -- lock protocol edges ----------------------------------------------------------
@@ -137,19 +137,19 @@ def test_decrease_at_zero_counter_rejected():
 def test_release_by_non_owner_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
-    out = coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
+    out = coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
     assert any(m.opcode is Opcode.LOCK_GRANT_LOCAL for _, m in out.sends)
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 1, 0), ("core", 0, 1))
+        coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
 
 
 def test_release_global_by_non_owner_rejected():
     cfg = SystemConfig(num_units=2, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
-    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0), ("coord", 1))
+    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0))
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
-        coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
+        coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
+        coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
 
 
 @pytest.mark.parametrize("scheme", ["syncron", "hier"])
@@ -157,8 +157,8 @@ def test_release_with_parked_waiter_rejected(scheme):
     # a table- or server-backed variable must not be freed while a core waits on it
     cfg = SystemConfig(num_units=1, cores_per_unit=3, scheme=scheme)
     coord = Coordinator(cfg, 0)
-    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
-    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0), ("core", 0, 1))
+    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0))
     with pytest.raises(ProtocolError):
         coord._release_var(64, coord.meta[64], Output())
 
@@ -167,21 +167,21 @@ def test_grant_goes_local_first_then_ascending_units():
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     addr = 64
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0), ("coord", 3))  # owner
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 2, 0), ("coord", 2))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0), ("core", 0, 1))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0), ("coord", 1))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0))  # owner
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 2, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0))
     grants = []
-    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 3, 0), ("coord", 3))
+    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 3, 0))
     grants += out.sends
     # local waiter wins over both queued units
     assert grants[-1][0] == ("core", 0, 1)
     assert grants[-1][1].opcode is Opcode.LOCK_GRANT_LOCAL
-    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_LOCAL, 1, 0), ("core", 0, 1))
+    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
     assert out.sends[-1][0] == ("coord", 1)  # then ascending unit ids
-    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1))
+    out = coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
     assert out.sends[-1][0] == ("coord", 2)
-    coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 2, 0), ("coord", 2))
+    coord.handle(Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 2, 0))
     assert coord.meta.get(addr) is None  # fully quiesced
     assert coord.table.occupied_count == 0
 
@@ -193,22 +193,22 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     addr = 64
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0), ("coord", 3))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0), ("coord", 1))
-    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 3, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 2 << 2 | 0, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0))
+    coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 1 << 2 | 1, 0))
     assert coord.meta[addr].backing == "record"
 
     releases = [
-        (Message(addr, Opcode.LOCK_RELEASE_LOCAL, 0, 0), ("core", 0, 0)),
-        (Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1)),
-        (Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 1, 0), ("coord", 1)),
-        (Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2)),
-        (Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 3, 0), ("coord", 3)),
+        Message(addr, Opcode.LOCK_RELEASE_LOCAL, 0, 0),
+        Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 1 << 2 | 1, 0),
+        Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 1, 0),
+        Message(addr, Opcode.LOCK_RELEASE_OVERFLOW, 2 << 2 | 0, 0),
+        Message(addr, Opcode.LOCK_RELEASE_GLOBAL, 3, 0),
     ]
-    sends = [[(dst, m.opcode, m.core_id) for dst, m in coord.handle(msg, src).sends]
-             for msg, src in releases]
+    sends = [[(dst, m.opcode, m.core_id) for dst, m in coord.handle(msg).sends]
+             for msg in releases]
     assert sends == [
         [(("coord", 1), Opcode.LOCK_GRANT_OVERFLOW, 1 << 2 | 1)],  # unit 1's second core
         [(("coord", 1), Opcode.LOCK_GRANT_GLOBAL, 0)],             # then unit 1's aggregate
@@ -227,15 +227,15 @@ def test_semaphore_master_serves_local_first_then_lowest_unit_overflow_before_ag
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     addr = 64
-    coord.handle(Message(addr, Opcode.SEM_WAIT_LOCAL, 0, 0), ("core", 0, 0))
-    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 3, 1), ("coord", 3))
-    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 2 << 2 | 0, 0), ("coord", 2))
-    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 1, 1), ("coord", 1))
-    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 1 << 2 | 1, 0), ("coord", 1))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_LOCAL, 0, 0))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 3, 1))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 2 << 2 | 0, 0))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 1, 1))
+    coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 1 << 2 | 1, 0))
     assert coord.meta[addr].backing == "record"
 
     post = Message(addr, Opcode.SEM_POST_LOCAL, 1, 0)
-    sends = [[(dst, m.opcode, m.core_id, m.info) for dst, m in coord.handle(post, ("core", 0, 1)).sends]
+    sends = [[(dst, m.opcode, m.core_id, m.info) for dst, m in coord.handle(post).sends]
              for _ in range(5)]
     assert sends == [
         [(("core", 0, 0), Opcode.SEM_GRANT_LOCAL, 0, 0)],             # the local waiter
@@ -256,16 +256,16 @@ def test_condvar_master_wakes_local_first_then_lowest_unit_overflow_before_aggre
     cfg = SystemConfig(num_units=4, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     cv, lock = 64, 128
-    coord.handle(Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0))
-    coord.handle(Message(cv, Opcode.COND_WAIT_LOCAL, 0, lock), ("core", 0, 0))
-    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 3, lock), ("coord", 3))
-    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 2 << 2 | 0, lock), ("coord", 2))
-    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 1, lock), ("coord", 1))
-    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 1 << 2 | 1, lock), ("coord", 1))
+    coord.handle(Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    coord.handle(Message(cv, Opcode.COND_WAIT_LOCAL, 0, lock))
+    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 3, lock))
+    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 2 << 2 | 0, lock))
+    coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 1, lock))
+    coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 1 << 2 | 1, lock))
     assert coord.meta[cv].backing == "record"
 
     signal = Message(cv, Opcode.COND_SIGNAL_LOCAL, 1, 0)
-    outs = [coord.handle(signal, ("core", 0, 1)) for _ in range(5)]
+    outs = [coord.handle(signal) for _ in range(5)]
     # the local waiter resumes by re-acquiring its lock at this coordinator
     assert outs[0].internal == [Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, 0, cv)]
     assert all(out.internal == [] for out in outs[1:])
@@ -295,7 +295,7 @@ def test_request_from_non_client_core_id_rejected(scheme, core_id):
                Opcode.COND_SIGNAL_LOCAL, Opcode.COND_BROAD_LOCAL):
         coord = Coordinator(cfg, 0)
         with pytest.raises(ProtocolError, match="names no client"):
-            coord.handle(Message(64, op, core_id, 0), ("core", 0, 2))
+            coord.handle(Message(64, op, core_id, 0))
         assert coord.meta == {}
 
 
@@ -334,17 +334,17 @@ def test_barrier_double_arrival_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     msg = Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 0, 2)
-    coord.handle(msg, ("core", 0, 0))
+    coord.handle(msg)
     with pytest.raises(ProtocolError):
-        coord.handle(msg, ("core", 0, 0))
+        coord.handle(msg)
 
 
 def test_barrier_target_mismatch_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=4)
     coord = Coordinator(cfg, 0)
-    coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 0, 2), ("core", 0, 0))
+    coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 0, 2))
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 1, 3), ("core", 0, 1))
+        coord.handle(Message(64, Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, 1, 3))
 
 
 # -- semaphores ------------------------------------------------------------------
@@ -371,9 +371,19 @@ def test_semaphore_grants_local_first_and_bounded():
 def test_semaphore_initial_resources_mismatch_rejected():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
-    coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 0, 2), ("core", 0, 0))
+    coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 0, 2))
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 1, 3), ("core", 0, 1))
+        coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 1, 3))
+
+
+def test_semaphore_grant_beyond_parked_waiters_rejected():
+    # a master grants a unit at most its demand, one per parked local waiter
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 1)
+    assert not coord.is_master_for(64)
+    coord.handle(Message(64, Opcode.SEM_WAIT_LOCAL, 0, 0))
+    with pytest.raises(ProtocolError, match="exceeds the 1 parked waiters"):
+        coord.handle(Message(64, Opcode.SEM_GRANT_GLOBAL, 0, 2))
 
 
 def test_semaphore_alternating_producer_consumer_across_units():
@@ -436,4 +446,4 @@ def test_cond_wait_requires_lock_address():
     cfg = SystemConfig(num_units=1, cores_per_unit=3)
     coord = Coordinator(cfg, 0)
     with pytest.raises(ProtocolError):
-        coord.handle(Message(64, Opcode.COND_WAIT_LOCAL, 0, 0), ("core", 0, 0))
+        coord.handle(Message(64, Opcode.COND_WAIT_LOCAL, 0, 0))
