@@ -76,8 +76,17 @@ _KNOBS = {
     "seed": (int, None),
 }
 
-_INT_SYSTEM_KEYS = ("units", "cores_per_unit", "clients_per_unit", "st_entries",
-                    "index_counters", "inbox_depth", "unit_mem_mib")
+# config file keys by section: key -> (RunConfig field, cast); every other
+# [workload] key is an integer workload parameter, which check_workload vets
+_INI_KEYS = {
+    "system": {**{key: (key, int) for key in ("units", "cores_per_unit", "clients_per_unit",
+                                              "st_entries", "index_counters", "inbox_depth",
+                                              "unit_mem_mib")},
+               "scheme": ("scheme", str.strip), "memory": ("memory", str.strip)},
+    "latency": {"link_latency_ns": ("link_latency_ns", float)},
+    "workload": {"name": ("workload", str.strip)},
+    "run": {"seed": ("seed", int)},
+}
 
 
 @dataclasses.dataclass
@@ -154,38 +163,30 @@ def csv_row(index: int, rc: RunConfig, stats: Stats) -> dict:
 # -- configuration file -----------------------------------------------------------
 
 def load_config_file(path: str) -> RunConfig:
+    """The RunConfig an INI file describes; an unknown section or key, a
+    malformed file or a bad value raises ConfigError."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     rc = RunConfig()
     try:
-        if parser.has_section("system"):
-            sec = parser["system"]
-            for key in _INT_SYSTEM_KEYS:
-                if key in sec:
-                    setattr(rc, key, sec.getint(key))
-            if "scheme" in sec:
-                rc.scheme = sec["scheme"].strip()
-            if "memory" in sec:
-                rc.memory = sec["memory"].strip()
-        if parser.has_section("latency"):
-            sec = parser["latency"]
-            if "link_latency_ns" in sec:
-                rc.link_latency_ns = sec.getfloat("link_latency_ns")
-        if parser.has_section("workload"):
-            sec = parser["workload"]
-            for key, value in sec.items():
-                if key == "name":
-                    rc.workload = value.strip()
-                else:
+        if not parser.read(path):
+            raise ConfigError("file not found")
+        # configparser copies [DEFAULT] keys into every section: allow none
+        sections = ([parser.default_section] if parser.defaults() else []) + parser.sections()
+        for name in sections:
+            keys = _INI_KEYS.get(name)
+            if keys is None:
+                raise ConfigError(f"unknown section [{name}]; expected one of {sorted(_INI_KEYS)}")
+            for key, value in parser.items(name):
+                if key in keys:
+                    field, cast = keys[key]
+                    setattr(rc, field, cast(value))
+                elif name == "workload":
                     rc.workload_params[key] = int(value)
-        if parser.has_section("run"):
-            sec = parser["run"]
-            if "seed" in sec:
-                rc.seed = sec.getint("seed")
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {path}: {exc}") from exc
+                else:
+                    raise ConfigError(f"unknown key {key!r} in [{name}]; "
+                                      f"expected one of {sorted(keys)}")
+    except (configparser.Error, ValueError) as exc:  # ConfigError too: it adds the path
+        raise ConfigError(f"config file {path}: {exc}") from exc
     return rc
 
 
@@ -269,12 +270,12 @@ def main(argv=None) -> int:
         for rc in runs:  # a bad run anywhere in a sweep fails before any run
             check_workload(rc.system_config(), rc.workload, rc.workload_params)
             rc.latency_model()
-    except ConfigError as exc:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     want_trace = args.trace or args.verify
 
     payloads, rows, failures = [], [], 0

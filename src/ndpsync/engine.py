@@ -24,7 +24,8 @@ last word of the opcode's name, and it only says who asks, named by the
 message's core id: a client core by the id on its own requests (LOCAL), a
 unit's aggregate by the unit (GLOBAL), or another unit's core by its packed
 {unit, core} id (OVERFLOW). Each level waits in its own mask, and grants go
-back by the same level.
+back by the same level. A variable's one VarMeta (an entry, a server's state,
+or a record: `in_memory`) is looked up once per message and passed along.
 """
 
 from __future__ import annotations
@@ -101,13 +102,12 @@ class VarMeta:
     """
 
     primitive: str
-    backing: str  # "entry" | "record" | "server"
+    in_memory: bool = False         # an engine's overflow record, not a table entry
     locals: int = 0                 # waiting cores that send here
     remote_agg: int = 0             # units waiting as aggregates (master only)
     remote_ovf: int = 0             # overflow waiters of other units (master only)
     ovf_units: int = 0              # units owed a decrease_indexing_counter at quiescence
     owner: tuple | None = None      # (level, core id) of the lock holder's request
-    pending_global: bool = False    # non-master: upward announce outstanding
     # barrier
     arrivals: int = 0
     target: int = 0
@@ -182,33 +182,29 @@ class Coordinator:
 
     # -- entry / record management -------------------------------------------
 
-    def _get_or_reserve(self, addr: int, primitive: str, out: Output):
-        meta = self.meta.get(addr)
+    def _get_or_reserve(self, addr: int, meta: VarMeta | None, primitive: str, out: Output):
+        """`meta` as `primitive`, or a fresh one when None; True when fresh."""
         if meta is not None:
             if meta.primitive != primitive:
                 raise ProtocolError(
                     f"variable {addr:#x} used as {primitive} but live as {meta.primitive}")
             return meta, False
-        if self.server:
-            meta = VarMeta(primitive=primitive, backing="server")
-        else:
+        if not self.server:
             assert addr not in self.enrolled, "reserve while enrolled in an overflow episode"
             self.table.reserve(addr)
             out.table_events.append(("st_reserve", addr))
-            meta = VarMeta(primitive=primitive, backing="entry")
-        self.meta[addr] = meta
+        meta = self.meta[addr] = VarMeta(primitive)
         return meta, True
 
     def _release_var(self, addr: int, meta: VarMeta, out: Output) -> None:
-        if meta.backing != "record" and (meta.locals or meta.remote_agg or meta.sem_demand):
+        if meta.in_memory:
+            return  # the memory-path epilogue drops a record once quiescent
+        if meta.locals or meta.remote_agg or meta.sem_demand:
             raise ProtocolError(f"release of variable {addr:#x} with waiters pending")
-        if meta.backing == "entry":
+        if not self.server:
             self.table.release(addr)
             out.table_events.append(("st_release", addr))
-            del self.meta[addr]
-        elif meta.backing == "server":
-            del self.meta[addr]
-        # record-backed state is dropped by the memory-path epilogue once quiescent
+        del self.meta[addr]
 
     def _release_if_quiesced(self, addr: int, meta: VarMeta, out: Output) -> None:
         if self._quiesced(meta):
@@ -271,8 +267,7 @@ class Coordinator:
     def _overflow_request(self, msg: Message, out: Output) -> None:
         if self.server or not self.is_master_for(msg.addr):
             raise ProtocolError(f"{msg.opcode.name} delivered to a non-master coordinator")
-        out.overflowed = True
-        self._memory_path(msg, out)
+        self._memory_path(msg, self.meta.get(msg.addr), out)
 
     def _cond_wait_request(self, msg: Message, out: Output) -> None:
         # release the named lock on the caller's behalf before parking
@@ -294,34 +289,33 @@ class Coordinator:
             self._client(msg.core_id)
         meta = self.meta.get(addr)
 
-        if meta is not None and meta.backing == "record":
-            out.overflowed = True
-            self._memory_path(msg, out)
+        if meta is not None and meta.in_memory:
+            self._memory_path(msg, meta, out)
             return
 
         if (meta is None and not self.server
                 and op in SYNC_REQUESTS
                 and (self.table.full() or self.counters.get(addr) > 0)):
-            out.overflowed = True
             if self.is_master_for(addr):
-                self._memory_path(msg, out)
+                self._memory_path(msg, None, out)
             else:
                 self._redirect(msg, out)
             return
 
-        _HANDLER[op](self, msg, out)
+        _HANDLER[op](self, msg, meta, out)
         if self.server:
             # the lock line released by a cond wait is recorded by its own
             # inner dispatch, so one touch per dispatched message suffices
             out.touches.append(addr)
 
-    def _not_served(self, msg: Message, out: Output) -> None:
+    def _not_served(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         raise ProtocolError(f"opcode {msg.opcode.name} not valid at a coordinator")
 
     # -- overflow path ---------------------------------------------------------
 
     def _redirect(self, msg: Message, out: Output) -> None:
         """Non-master with no table room: forward to the master via memory."""
+        out.overflowed = True
         _, unit, local = self.clients[msg.core_id]
         if _CLASS[msg.opcode] is OpClass.ACQUIRE:
             if msg.addr not in self.enrolled:
@@ -363,34 +357,31 @@ class Coordinator:
         else:
             self._start_resume(local, addr, msg.info, out)
 
-    def _memory_path(self, msg: Message, out: Output) -> None:
-        """Master services the variable from its local memory."""
+    def _memory_path(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
+        """Master services the variable, `meta` if live, from its local memory."""
         addr = msg.addr
         op = msg.opcode
-        meta = self.meta.get(addr)
+        out.overflowed = True
         out.mem_ops.append(("read", addr))
         if meta is None:
             if op in _COND_SIGNALS:
                 return  # lost signal: nothing parked anywhere
             if op in _LOCK_RELEASES:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
-            meta = VarMeta(primitive=_PRIMITIVE[op], backing="record")
-            self.meta[addr] = meta
+            meta = self.meta[addr] = VarMeta(_PRIMITIVE[op], in_memory=True)
             self.counters.increment(addr)
-        elif meta.backing == "entry":
+        elif not meta.in_memory:
             # migrate a live entry to memory: a remote engine overflowed first
             self.table.release(addr)
             out.table_events.append(("st_release", addr))
-            meta.backing = "record"
+            meta.in_memory = True
             self.counters.increment(addr)
         if op in _OVERFLOW_ACQUIRES:
             # the redirecting unit enrolled in the episode: it is owed a decrease
             meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
 
-        _HANDLER[op](self, msg, out)
+        _HANDLER[op](self, msg, meta, out)
 
-        meta = self.meta.get(addr)
-        assert meta is not None and meta.backing == "record"
         if self._quiesced(meta):
             self.counters.decrement(addr)
             for u in _bits(meta.ovf_units):
@@ -424,19 +415,16 @@ class Coordinator:
             # waking a condvar waiter: the grant carries the condvar, lock in info
             out.sends.append((node, Message(tag, Opcode.COND_GRANT_LOCAL, node[2], addr)))
 
-    def _lock_acquire(self, msg: Message, out: Output) -> None:
+    def _lock_acquire(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
         who = msg.core_id
-        meta, fresh = self._get_or_reserve(addr, LOCK, out)
+        meta, fresh = self._get_or_reserve(addr, meta, LOCK, out)
         if level == LOCAL and not self.is_master_for(addr):
             # a non-master queues its cores and asks the master once for the unit
             meta.locals |= 1 << who
             if fresh:
-                meta.pending_global = True
                 self._to_master(out, addr, Opcode.LOCK_ACQUIRE_GLOBAL)
-            else:
-                assert meta.pending_global or meta.owner is not None
         elif meta.owner is None:
             assert not meta.locals and not meta.remote_agg and not meta.remote_ovf
             meta.owner = (level, who)
@@ -444,11 +432,10 @@ class Coordinator:
         else:
             self._enqueue(meta, level, who)
 
-    def _lock_release(self, msg: Message, out: Output) -> None:
+    def _lock_release(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
         who = msg.core_id
-        meta = self.meta.get(addr)
         if meta is None or meta.owner != (level, who):
             node = (self.clients[who] if level == LOCAL else ("unit", who) if level == GLOBAL
                     else ("core", *unpack_core(who, self.core_bits)))
@@ -458,12 +445,11 @@ class Coordinator:
             self._to_master(out, addr, Opcode.LOCK_RELEASE_GLOBAL)
         self._lock_next(addr, meta, out)
 
-    def _lock_grant_global(self, msg: Message, out: Output) -> None:
+    def _lock_grant_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        meta = self.meta.get(addr)
-        if meta is None or not meta.pending_global:
+        # the unit's request is out exactly while its entry has no owner
+        if meta is None or meta.owner is not None:
             raise ProtocolError(f"unsolicited lock grant for {addr:#x}")
-        meta.pending_global = False
         assert meta.locals, "token granted with no local waiters"
         self._lock_next(addr, meta, out)
 
@@ -478,12 +464,12 @@ class Coordinator:
 
     # -- barriers ------------------------------------------------------------------
 
-    def _barrier_wait(self, msg: Message, out: Output) -> None:
+    def _barrier_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
         who = msg.core_id
         info = msg.info
-        meta, _ = self._get_or_reserve(addr, BARRIER, out)
+        meta, _ = self._get_or_reserve(addr, meta, BARRIER, out)
         self._barrier_target(meta, info)
         if level == LOCAL:
             if meta.locals >> who & 1:
@@ -517,9 +503,8 @@ class Coordinator:
         meta.arrivals = 0
         self._release_var(addr, meta, out)
 
-    def _barrier_depart_global(self, msg: Message, out: Output) -> None:
+    def _barrier_depart_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        meta = self.meta.get(addr)
         if meta is None:
             raise ProtocolError(f"barrier departure for unknown variable {addr:#x}")
         self._barrier_depart_locals(addr, meta, out)
@@ -546,11 +531,11 @@ class Coordinator:
             raise ProtocolError(
                 f"semaphore initial resources re-declared: {meta.sem_declared} vs {initial}")
 
-    def _sem_wait(self, msg: Message, out: Output) -> None:
+    def _sem_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
         who = msg.core_id
-        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+        meta, _ = self._get_or_reserve(addr, meta, SEMAPHORE, out)
         if level == LOCAL and not self.is_master_for(addr):
             meta.locals |= 1 << who
             self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
@@ -564,19 +549,18 @@ class Coordinator:
             self._enqueue(meta, level, who)
         self._sem_drain(addr, meta, out)
 
-    def _sem_post(self, msg: Message, out: Output) -> None:
+    def _sem_post(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
         if level == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.SEM_POST_GLOBAL, 1)
             return
-        meta, _ = self._get_or_reserve(addr, SEMAPHORE, out)
+        meta, _ = self._get_or_reserve(addr, meta, SEMAPHORE, out)
         meta.sem_count += msg.info if level == GLOBAL else 1
         self._sem_drain(addr, meta, out)
 
-    def _sem_grant_global(self, msg: Message, out: Output) -> None:
+    def _sem_grant_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        meta = self.meta.get(addr)
         if meta is None:
             raise ProtocolError(f"semaphore grant for unknown variable {addr:#x}")
         # the master grants a unit at most its demand, one per parked waiter
@@ -612,23 +596,22 @@ class Coordinator:
 
     # -- condition variables -----------------------------------------------------------
 
-    def _cond_wait(self, msg: Message, out: Output) -> None:
+    def _cond_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         level = _LEVEL[msg.opcode]
-        meta, _ = self._get_or_reserve(addr, CONDVAR, out)
+        meta, fresh = self._get_or_reserve(addr, meta, CONDVAR, out)
         self._cond_lock_set(meta, msg.info)
         self._enqueue(meta, level, msg.core_id)
-        if level == LOCAL and not meta.pending_global and not self.is_master_for(addr):
-            meta.pending_global = True
+        # a non-master's wait is announced exactly while its entry exists
+        if level == LOCAL and fresh and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, msg.info)
 
-    def _cond_signal(self, msg: Message, out: Output) -> None:
+    def _cond_signal(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake the next waiter; with none parked the signal is lost."""
         addr = msg.addr
         if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_SIGNAL_GLOBAL)
             return
-        meta = self.meta.get(addr)
         waiter = None if meta is None else self._pop_waiter(meta)
         if waiter is None:
             return
@@ -641,13 +624,12 @@ class Coordinator:
             self._send(out, OVERFLOW, who, addr, Opcode.COND_GRANT_OVERFLOW, meta.cond_lock)
         self._release_if_quiesced(addr, meta, out)
 
-    def _cond_broadcast(self, msg: Message, out: Output) -> None:
+    def _cond_broadcast(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake every waiter: local cores, then overflow cores, then units."""
         addr = msg.addr
         if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_BROAD_GLOBAL)
             return
-        meta = self.meta.get(addr)
         if meta is None:
             return
         while meta.locals:
@@ -660,9 +642,8 @@ class Coordinator:
         meta.remote_agg = 0
         self._release_if_quiesced(addr, meta, out)
 
-    def _cond_grant_global(self, msg: Message, out: Output) -> None:
+    def _cond_grant_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        meta = self.meta.get(addr)
         if meta is None or not meta.locals:
             raise ProtocolError(f"condvar wake for {addr:#x} with no parked waiter")
         wakes = meta.locals.bit_count() if msg.info == WAKE_ALL else 1
@@ -719,8 +700,9 @@ def _route(op: Opcode):
 # `op is Opcode.X` tests, each of which pays for an EnumType.__getattr__ call.
 _ROUTE = {op: _route(op) for op in Opcode}
 
-# the state-machine step for each opcode: one per action, whatever the
-# level, by the name's first two words; a coordinator serves no core-bound one
+# the state-machine step for each opcode, called with (msg, VarMeta or None, out):
+# one per action, whatever the level, by its name's first two words; a
+# coordinator serves no core-bound one
 _ACTIONS = {
     "LOCK_ACQUIRE": Coordinator._lock_acquire,
     "LOCK_RELEASE": Coordinator._lock_release,

@@ -455,13 +455,18 @@ _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, Condva
 
 
 def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:
-    """Reject an unknown workload, a negative, empty or out-of-range parameter,
-    or units too small to hold the data region every unit carries or the
-    workload's highest line. O(1): builds nothing."""
+    """Reject an unknown workload, a parameter it does not take, a negative,
+    empty or out-of-range parameter, or units too small to hold the data
+    region every unit carries or the workload's highest line. O(1): builds
+    nothing."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}")
     params = params or {}
+    unknown = params.keys() - cls.defaults.keys() - set(cls.client_params)
+    if unknown:
+        raise ConfigError(f"workload {name!r} takes no parameter {', '.join(sorted(unknown))}; "
+                          f"it takes {', '.join(sorted([*cls.defaults, *cls.client_params]))}")
     for key, value in cls._resolve(params).items():
         low = 1 if key in _SIZE_PARAMS else 0
         if value < low:

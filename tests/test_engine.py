@@ -198,7 +198,7 @@ def test_master_serves_remote_units_lowest_first_overflow_before_aggregate():
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 2 << 2 | 0, 0))
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0))
     coord.handle(Message(addr, Opcode.LOCK_ACQUIRE_OVERFLOW, 1 << 2 | 1, 0))
-    assert coord.meta[addr].backing == "record"
+    assert coord.meta[addr].in_memory
 
     releases = [
         Message(addr, Opcode.LOCK_RELEASE_LOCAL, 0, 0),
@@ -232,7 +232,7 @@ def test_semaphore_master_serves_local_first_then_lowest_unit_overflow_before_ag
     coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 2 << 2 | 0, 0))
     coord.handle(Message(addr, Opcode.SEM_WAIT_GLOBAL, 1, 1))
     coord.handle(Message(addr, Opcode.SEM_WAIT_OVERFLOW, 1 << 2 | 1, 0))
-    assert coord.meta[addr].backing == "record"
+    assert coord.meta[addr].in_memory
 
     post = Message(addr, Opcode.SEM_POST_LOCAL, 1, 0)
     sends = [[(dst, m.opcode, m.core_id, m.info) for dst, m in coord.handle(post).sends]
@@ -262,7 +262,7 @@ def test_condvar_master_wakes_local_first_then_lowest_unit_overflow_before_aggre
     coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 2 << 2 | 0, lock))
     coord.handle(Message(cv, Opcode.COND_WAIT_GLOBAL, 1, lock))
     coord.handle(Message(cv, Opcode.COND_WAIT_OVERFLOW, 1 << 2 | 1, lock))
-    assert coord.meta[cv].backing == "record"
+    assert coord.meta[cv].in_memory
 
     signal = Message(cv, Opcode.COND_SIGNAL_LOCAL, 1, 0)
     outs = [coord.handle(signal) for _ in range(5)]
