@@ -233,6 +233,37 @@ def test_bad_sweep_exits_2(tmp_path):
     assert rv == 2
 
 
+@pytest.mark.parametrize("body, fragment", [
+    ("units = 1\n", "no section headers"),
+    ("[run]\nseed = 1\nseed = 2\n", "already exists"),
+    ("[system]\nst_entrys = 1\n", "unknown key 'st_entrys' in [system]"),
+    ("[bogus]\nx = 1\n", "unknown section [bogus]"),
+    ("[DEFAULT]\nseed = 1\n", "unknown section [DEFAULT]"),
+    ("[workload]\nname = lock\niteration = 3\n", "'lock' takes no parameter iteration"),
+    ("[workload]\nname = lock\nparticipants = 2\n", "'lock' takes no parameter participants"),
+], ids=["no-section-header", "duplicate-key", "unknown-key", "unknown-section",
+        "default-key", "unknown-workload-param", "client-param-of-other-workload"])
+def test_bad_config_file_exits_2_before_first_run(tmp_path, capsys, body, fragment):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(body)
+    out = tmp_path / "out"
+    rv = cli.main(["--units", "1", "--cores-per-unit", "2", "--config", str(ini),
+                   "--out", str(out)])
+    assert rv == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not out.exists()
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    rv = cli.main(["--units", "1", "--cores-per-unit", "2", "--out", str(out)])
+    assert rv == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_verify_clean_run_exits_0(tmp_path):
     out = tmp_path / "out"
     rv = cli.main(SMALL + ["--workload", "stack", "--verify", "--out", str(out)])

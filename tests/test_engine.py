@@ -152,6 +152,58 @@ def test_release_global_by_non_owner_rejected():
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
 
 
+def sent(out, op):
+    return [(dst, m) for dst, m in out.sends if m.opcode is op]
+
+
+def test_non_master_lock_asks_once_and_grant_goes_to_lowest_local_core():
+    # unit 1 is not A's master: its request for the unit is out while A has no owner
+    A = 64
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 1)
+    assert not coord.is_master_for(A)
+    outs = [coord.handle(Message(A, Opcode.LOCK_ACQUIRE_LOCAL, core, 0)) for core in (1, 0)]
+    asks = [x for out in outs for x in sent(out, Opcode.LOCK_ACQUIRE_GLOBAL)]
+    assert asks == [(("coord", 0), Message(A, Opcode.LOCK_ACQUIRE_GLOBAL, 1, 0))]
+    out = coord.handle(Message(A, Opcode.LOCK_GRANT_GLOBAL, 0, 0))
+    assert out.sends == [(("core", 1, 0), Message(A, Opcode.LOCK_GRANT_LOCAL, 0, 0))]
+    with pytest.raises(ProtocolError, match="unsolicited lock grant"):
+        coord.handle(Message(A, Opcode.LOCK_GRANT_GLOBAL, 0, 0))
+    with pytest.raises(ProtocolError, match="unsolicited lock grant"):
+        coord.handle(Message(128, Opcode.LOCK_GRANT_GLOBAL, 0, 0))
+
+
+def test_non_master_condvar_announces_while_its_entry_exists():
+    # the waiters' lock L lives on their unit 1, the condvar CV on unit 0
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    CV, L = 64, cfg.unit_mem_bytes + 64
+    coord = Coordinator(cfg, 1)
+    assert coord.is_master_for(L) and not coord.is_master_for(CV)
+    announce = Message(CV, Opcode.COND_WAIT_GLOBAL, 1, L)
+    waits = []
+    for core in (0, 1):
+        coord.handle(Message(L, Opcode.LOCK_ACQUIRE_LOCAL, core, 0))
+        waits += sent(coord.handle(Message(CV, Opcode.COND_WAIT_LOCAL, core, L)),
+                      Opcode.COND_WAIT_GLOBAL)
+    assert waits == [(("coord", 0), announce)]
+    # one wake: core 0 resumes, core 1 still waits, so the unit announces again
+    first = coord.handle(Message(CV, Opcode.COND_GRANT_GLOBAL, 0, 1))
+    assert first.internal == [Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 0, CV)]
+    assert sent(first, Opcode.COND_WAIT_GLOBAL) == [(("coord", 0), announce)]
+    # the last wake frees the entry
+    last = coord.handle(Message(CV, Opcode.COND_GRANT_GLOBAL, 0, 1))
+    assert last.internal == [Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 1, CV)]
+    assert last.sends == [] and last.table_events == [("st_release", CV)]
+    assert CV not in coord.meta
+    # core 0 re-acquires L, waits again, and the fresh entry is announced afresh
+    coord.handle(first.internal[0])
+    coord.handle(last.internal[0])
+    again = coord.handle(Message(CV, Opcode.COND_WAIT_LOCAL, 0, L))
+    assert sent(again, Opcode.COND_GRANT_LOCAL) == [
+        (("core", 1, 1), Message(CV, Opcode.COND_GRANT_LOCAL, 1, L))]
+    assert sent(again, Opcode.COND_WAIT_GLOBAL) == [(("coord", 0), announce)]
+
+
 @pytest.mark.parametrize("scheme", ["syncron", "hier"])
 def test_release_with_parked_waiter_rejected(scheme):
     # a table- or server-backed variable must not be freed while a core waits on it
