@@ -47,7 +47,7 @@ class _Lock:
 
     def __init__(self):
         self.owner: tuple | None = None
-        self.waiters: deque = deque()  # (core, resuming condvar addr or None)
+        self.waiters: deque = deque()  # (core, condvar it resumes or 0)
 
 
 class _Sem:
@@ -62,10 +62,11 @@ class _Sem:
 class IdealOracle:
     """Instant synchronization resolution with real blocking semantics.
 
-    Cores are named by their ("core", unit, local) node. Blocking calls
-    return True when the caller proceeds immediately; otherwise the caller
-    parks and is released later through the wake callback:
-    wake(core, kind, addr, lock_addr).
+    Each public method is one workload step kind, called as
+    method(core, addr, info) with the step's core node ("core", unit, local),
+    address and info word, and returns True when the core keeps running.
+    A core that does not parks and is released later through the wake
+    callback: wake(core, kind, addr, lock_addr).
     """
 
     def __init__(self, wake):
@@ -77,28 +78,30 @@ class IdealOracle:
 
     # -- locks --------------------------------------------------------------
 
-    def lock_acquire(self, core: tuple, addr: int, resume_cv: int | None = None) -> bool:
+    def lock_acquire(self, core: tuple, addr: int, info: int = 0) -> bool:
+        """`info` names the condvar a woken waiter resumes; 0 for a plain acquire."""
         lock = self._locks.setdefault(addr, _Lock())
         if lock.owner is None:
             lock.owner = core
             return True
-        lock.waiters.append((core, resume_cv))
+        lock.waiters.append((core, info))
         return False
 
-    def lock_release(self, core: tuple, addr: int) -> None:
+    def lock_release(self, core: tuple, addr: int, info: int = 0) -> bool:
         lock = self._locks.get(addr)
         if lock is None or lock.owner != core:
             raise ProtocolError(f"lock {addr:#x} released by non-owner {core}")
         if lock.waiters:
             nxt, cv = lock.waiters.popleft()
             lock.owner = nxt
-            if cv is None:
-                self._wake(nxt, "lock", addr, 0)
-            else:
+            if cv:
                 self._wake(nxt, "cond", cv, addr)
+            else:
+                self._wake(nxt, "lock", addr, 0)
         else:
             lock.owner = None
             del self._locks[addr]
+        return True
 
     # -- barriers ------------------------------------------------------------
 
@@ -129,33 +132,34 @@ class IdealOracle:
         sem.waiters.append(core)
         return False
 
-    def sem_post(self, core: tuple, addr: int) -> None:
+    def sem_post(self, core: tuple, addr: int, info: int = 0) -> bool:
         sem = self._sems.setdefault(addr, _Sem())
         sem.count += 1
         while sem.count > 0 and sem.waiters:
             sem.count -= 1
             self._wake(sem.waiters.popleft(), "sem", addr, 0)
+        return True
 
     # -- condition variables ------------------------------------------------------
 
-    def cond_wait(self, core: tuple, cv: int, lock_addr: int) -> None:
+    def cond_wait(self, core: tuple, cv: int, lock_addr: int) -> bool:
         self.lock_release(core, lock_addr)
         self._conds.setdefault(cv, deque()).append((core, lock_addr))
+        return False
 
-    def cond_signal(self, cv: int) -> None:
+    def cond_signal(self, core: tuple, cv: int, info: int = 0) -> bool:
         waiters = self._conds.get(cv)
         if not waiters:
-            return  # lost signal
-        core, lock_addr = waiters.popleft()
+            return True  # lost signal
+        waiter, lock_addr = waiters.popleft()
         if not waiters:
             del self._conds[cv]
-        if self.lock_acquire(core, lock_addr, resume_cv=cv):
-            self._wake(core, "cond", cv, lock_addr)
+        if self.lock_acquire(waiter, lock_addr, cv):
+            self._wake(waiter, "cond", cv, lock_addr)
+        return True
 
-    def cond_broadcast(self, cv: int) -> None:
-        waiters = self._conds.pop(cv, None)
-        if not waiters:
-            return
-        for core, lock_addr in waiters:
-            if self.lock_acquire(core, lock_addr, resume_cv=cv):
-                self._wake(core, "cond", cv, lock_addr)
+    def cond_broadcast(self, core: tuple, cv: int, info: int = 0) -> bool:
+        for waiter, lock_addr in self._conds.pop(cv, ()):
+            if self.lock_acquire(waiter, lock_addr, cv):
+                self._wake(waiter, "cond", cv, lock_addr)
+        return True

@@ -25,7 +25,8 @@ message's core id: a client core by the id on its own requests (LOCAL), a
 unit's aggregate by the unit (GLOBAL), or another unit's core by its packed
 {unit, core} id (OVERFLOW). Each level waits in its own mask, and grants go
 back by the same level. A variable's one VarMeta (an entry, a server's state,
-or a record: `in_memory`) is looked up once per message and passed along.
+or a record: `in_memory`) is looked up once per message, checked against the
+primitive the opcode acts on, and passed along.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ _LOCK_GRANT = (Opcode.LOCK_GRANT_LOCAL, Opcode.LOCK_GRANT_GLOBAL, Opcode.LOCK_GR
 # requests whose core id must name a client of the receiving coordinator
 _CLIENT_REQUESTS = frozenset(op for op in SYNC_REQUESTS if _LEVEL[op] == LOCAL)
 _OVERFLOW_ACQUIRES = frozenset(op for op in Opcode if _CLASS[op] is OpClass.OVERFLOW_ACQUIRE)
+# another unit's requests, redirected to the master's memory path
+_OVERFLOW_REQUESTS = frozenset(op for op in Opcode if _CLASS[op] in
+                               (OpClass.OVERFLOW_ACQUIRE, OpClass.OVERFLOW_RELEASE))
 
 _OVERFLOW_FORM = {
     Opcode.LOCK_ACQUIRE_LOCAL: Opcode.LOCK_ACQUIRE_OVERFLOW,
@@ -183,11 +187,8 @@ class Coordinator:
     # -- entry / record management -------------------------------------------
 
     def _get_or_reserve(self, addr: int, meta: VarMeta | None, primitive: str, out: Output):
-        """`meta` as `primitive`, or a fresh one when None; True when fresh."""
+        """`meta`, or a fresh one of `primitive` when None; True when fresh."""
         if meta is not None:
-            if meta.primitive != primitive:
-                raise ProtocolError(
-                    f"variable {addr:#x} used as {primitive} but live as {meta.primitive}")
             return meta, False
         if not self.server:
             assert addr not in self.enrolled, "reserve while enrolled in an overflow episode"
@@ -264,15 +265,17 @@ class Coordinator:
         _ROUTE[msg.opcode](self, msg, out)
         return out
 
-    def _overflow_request(self, msg: Message, out: Output) -> None:
-        if self.server or not self.is_master_for(msg.addr):
-            raise ProtocolError(f"{msg.opcode.name} delivered to a non-master coordinator")
-        self._memory_path(msg, self.meta.get(msg.addr), out)
-
     def _cond_wait_request(self, msg: Message, out: Output) -> None:
         # release the named lock on the caller's behalf before parking
-        rel = msg._replace(addr=msg.info, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0)
-        self._handle_inner(rel, out)
+        lock = msg.info
+        if self.direct and master_se_of(self.cfg, lock) != self.unit:
+            # the lock lives at another master: release it there, ahead of the
+            # re-acquisition that _start_resume sends it on a wake
+            self._to_unit(out, master_se_of(self.cfg, lock), lock, Opcode.LOCK_RELEASE_LOCAL,
+                          msg.core_id)
+        else:
+            self._handle_inner(msg._replace(addr=lock, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0),
+                               out)
         self._handle_inner(msg, out)
 
     def _lock_acquire_request(self, msg: Message, out: Output) -> None:
@@ -287,8 +290,17 @@ class Coordinator:
         op = msg.opcode
         if op in _CLIENT_REQUESTS and msg.core_id not in self.clients:
             self._client(msg.core_id)
+        # the variable's one lookup: its live state must be of the opcode's primitive
         meta = self.meta.get(addr)
+        if meta is not None and meta.primitive != _PRIMITIVE[op]:
+            raise ProtocolError(
+                f"variable {addr:#x} used as {_PRIMITIVE[op]} but live as {meta.primitive}")
 
+        if op in _OVERFLOW_REQUESTS:
+            if self.server or not self.is_master_for(addr):
+                raise ProtocolError(f"{op.name} delivered to a non-master coordinator")
+            self._memory_path(msg, meta, out)
+            return
         if meta is not None and meta.in_memory:
             self._memory_path(msg, meta, out)
             return
@@ -677,10 +689,11 @@ class Coordinator:
 def _route(op: Opcode):
     """handle()'s entry point for `op`.
 
-    Overflow requests and wakes follow the memory path, the counter decrease
-    updates the indexing counters, and two local requests need set-up before
+    Overflow wakes go to the redirected core, the counter decrease updates
+    the indexing counters, and two local requests need set-up before
     _handle_inner: a cond wait releases its lock, and a lock acquire may
-    resume a condvar waiter.
+    resume a condvar waiter. _handle_inner serves the rest, overflow
+    requests included.
     """
     if op is Opcode.DECREASE_INDEXING_COUNTER:
         return Coordinator._on_decrease
@@ -688,10 +701,7 @@ def _route(op: Opcode):
         return Coordinator._cond_wait_request
     if op is Opcode.LOCK_ACQUIRE_LOCAL:
         return Coordinator._lock_acquire_request
-    cls = _CLASS[op]
-    if cls in (OpClass.OVERFLOW_ACQUIRE, OpClass.OVERFLOW_RELEASE):
-        return Coordinator._overflow_request
-    if cls is OpClass.OVERFLOW_GRANT:
+    if _CLASS[op] is OpClass.OVERFLOW_GRANT:
         return Coordinator._deliver_overflow_wake
     return Coordinator._handle_inner
 

@@ -82,6 +82,25 @@ _GRANT_KIND = {
     Opcode.BARRIER_DEPART_LOCAL: "barrier",
 }
 
+# Every synchronization step a workload yields, by the kind that Stats.ops
+# counts and IdealOracle names: the opcode of its request, the grant kind that
+# completes it if it blocks (None: the core runs on), and the trace records of
+# its issue and of its grant. A blocking step counts at its grant, any other
+# at its issue.
+_REQUEST = {
+    "lock_acquire": (Opcode.LOCK_ACQUIRE_LOCAL, "lock", None, "cs_enter"),
+    "lock_release": (Opcode.LOCK_RELEASE_LOCAL, None, "cs_exit", None),
+    "barrier_wait": (Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS, "barrier",
+                     "barrier_arrive", "barrier_depart"),
+    "sem_wait": (Opcode.SEM_WAIT_LOCAL, "sem", None, "sem_acquire"),
+    "sem_post": (Opcode.SEM_POST_LOCAL, None, "sem_release", None),
+    "cond_wait": (Opcode.COND_WAIT_LOCAL, "cond", "cond_sleep", "cond_wake"),
+    "cond_signal": (Opcode.COND_SIGNAL_LOCAL, None, None, None),
+    "cond_broadcast": (Opcode.COND_BROAD_LOCAL, None, None, None),
+}
+# grant kind -> (the step kind it completes, the trace record of the grant)
+_GRANTED = {grant: (kind, note) for kind, (_, grant, _, note) in _REQUEST.items() if grant}
+
 
 @dataclass
 class LatencyModel:
@@ -146,9 +165,7 @@ class Stats:
     def __init__(self, energy: EnergyModel | None = None) -> None:
         self.energy = energy or EnergyModel()
         self.time_ps = 0
-        self.ops = {k: 0 for k in ("lock_acquire", "lock_release", "barrier_wait",
-                                   "sem_wait", "sem_post", "cond_wait",
-                                   "cond_signal", "cond_broadcast")}
+        self.ops = dict.fromkeys(_REQUEST, 0)
         self.messages_intra = 0
         self.messages_inter = 0
         self.bytes_intra = 0
@@ -504,25 +521,12 @@ class Simulation:
             b = crt.blocked
             if b is not None:
                 crt.blocked = None
-                kind = b[0]
-                ops = self.stats.ops
-                if kind == "lock":
-                    ops["lock_acquire"] += 1
-                    if tracing:
-                        self._trace(t, "cs_enter", unit, local, b[1])
-                elif kind == "cond":
-                    ops["cond_wait"] += 1
-                    if tracing:
+                kind, note = _GRANTED[b[0]]
+                self.stats.ops[kind] += 1
+                if tracing:
+                    if kind == "cond_wait":  # the waiter wakes holding its lock again
                         self._trace(t, "cs_enter", unit, local, b[2])
-                        self._trace(t, "cond_wake", unit, local, b[1], b[2])
-                elif kind == "sem":
-                    ops["sem_wait"] += 1
-                    if tracing:
-                        self._trace(t, "sem_acquire", unit, local, b[1], b[2])
-                else:
-                    ops["barrier_wait"] += 1
-                    if tracing:
-                        self._trace(t, "barrier_depart", unit, local, b[1])
+                    self._trace(t, note, unit, local, *b[1:])
             try:
                 step = next(crt.gen)
             except StopIteration:
@@ -548,83 +552,40 @@ class Simulation:
     def _issue(self, crt: _Core, step, t: int) -> bool:
         """Issue one synchronization step; True if the core keeps running.
 
-        A blocking step sets crt.blocked. Without routing (the ideal scheme)
-        each step goes to the oracle, which may grant a blocking step at
-        once; otherwise the request goes to the core's coordinator.
+        A blocking step sets crt.blocked until its grant. The ideal scheme
+        (no route) resolves every step with the oracle method of its kind,
+        which may grant a blocking step at once; the other schemes send the
+        request to the core's coordinator.
         """
-        node = crt.node
-        _, unit, local = node
         kind = step[0]
+        try:
+            opc, grant, note, _ = _REQUEST[kind]
+        except KeyError:
+            raise ProtocolError(f"unknown workload step {kind!r}") from None
         addr = step[1]
-        o = self.oracle
-        tracing = self.trace_enabled
-        info = 0
-
-        if kind == "lock_acquire":
-            crt.blocked = ("lock", addr)
-            if o is not None:
-                return o.lock_acquire(node, addr)
-            opc = Opcode.LOCK_ACQUIRE_LOCAL
-        elif kind == "lock_release":
-            self.stats.ops["lock_release"] += 1
-            if tracing:
-                self._trace(t, "cs_exit", unit, local, addr)
-            if o is not None:
-                o.lock_release(node, addr)
-                return True
-            opc = Opcode.LOCK_RELEASE_LOCAL
-        elif kind == "barrier_wait":
-            _, addr, info, within = step
-            crt.blocked = ("barrier", addr)
-            if tracing:
-                self._trace(t, "barrier_arrive", unit, local, addr)
-            if o is not None:
-                return o.barrier_wait(node, addr, info)
-            opc = (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT if within
-                   else Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS)
-        elif kind == "sem_wait":
-            _, addr, info = step
-            crt.blocked = ("sem", addr, info)
-            if o is not None:
-                return o.sem_wait(node, addr, info)
-            opc = Opcode.SEM_WAIT_LOCAL
-        elif kind == "sem_post":
-            self.stats.ops["sem_post"] += 1
-            if tracing:
-                self._trace(t, "sem_release", unit, local, addr)
-            if o is not None:
-                o.sem_post(node, addr)
-                return True
-            opc = Opcode.SEM_POST_LOCAL
-        elif kind == "cond_wait":
-            _, addr, info = step
-            crt.blocked = ("cond", addr, info)
-            self.stats.ops["lock_release"] += 1
-            if tracing:
-                self._trace(t, "cs_exit", unit, local, info)
-                self._trace(t, "cond_sleep", unit, local, addr, info)
-            if o is not None:
-                o.cond_wait(node, addr, info)
-                return False
-            opc = Opcode.COND_WAIT_LOCAL
-        elif kind == "cond_signal":
+        info = step[2] if len(step) > 2 else 0
+        if grant is None:
             self.stats.ops[kind] += 1
-            if o is not None:
-                o.cond_signal(addr)
-                return True
-            opc = Opcode.COND_SIGNAL_LOCAL
-        elif kind == "cond_broadcast":
-            self.stats.ops[kind] += 1
-            if o is not None:
-                o.cond_broadcast(addr)
-                return True
-            opc = Opcode.COND_BROAD_LOCAL
+        elif grant == "sem" or grant == "cond":
+            crt.blocked = (grant, addr, info)  # the grant's trace carries the info
         else:
-            raise ProtocolError(f"unknown workload step {kind!r}")
-
+            crt.blocked = (grant, addr)
+        if kind == "cond_wait":
+            self.stats.ops["lock_release"] += 1  # the wait releases its lock
+        if note is not None and self.trace_enabled:
+            _, unit, local = crt.node
+            if kind == "cond_wait":
+                self._trace(t, "cs_exit", unit, local, info)
+                self._trace(t, note, unit, local, addr, info)
+            else:
+                self._trace(t, note, unit, local, addr)
+        if self.oracle is not None:
+            return getattr(self.oracle, kind)(crt.node, addr, info)
+        if kind == "barrier_wait" and step[3]:
+            opc = Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
         dst = crt.dst or self.coords[master_se_of(self.cfg, addr)].node
         self._send(crt.node, dst, Message(addr, opc, crt.wire_id, info), t)
-        return crt.blocked is None
+        return grant is None
 
     # -- coordinators --------------------------------------------------------------------
 
@@ -633,15 +594,7 @@ class Simulation:
             if self.trace_enabled:
                 msg = payload[0]
                 self._trace(t, "msg_recv", node[1], -1, msg.addr, int(msg.opcode))
-            crt = self.coords[node[1]]
-            crt.inbox.append(payload)
-            depth = len(crt.inbox)
-            if depth > self.stats.max_inbox_depth:
-                self.stats.max_inbox_depth = depth
-            if depth > self.cfg.inbox_depth:
-                self.stats.inbox_pressure_events += 1
-            if not crt.busy:
-                self._start_service(crt, t)
+            self._intake(self.coords[node[1]], payload, t)
             return
         crt = self._at[node]
         if payload[0] == "wake":
@@ -657,6 +610,18 @@ class Simulation:
             what = f"wake {kind}" if payload[0] == "wake" else payload[0].opcode.name
             raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {node}")
         self._advance(crt, t)
+
+    def _intake(self, crt: _Coord, item, t: int) -> None:
+        """Queue one (message, source node) at a coordinator, a network arrival
+        or a condvar resume, and serve it at once if the coordinator is idle."""
+        crt.inbox.append(item)
+        depth = len(crt.inbox)
+        if depth > self.stats.max_inbox_depth:
+            self.stats.max_inbox_depth = depth
+        if depth > self.cfg.inbox_depth:
+            self.stats.inbox_pressure_events += 1
+        if not crt.busy:
+            self._start_service(crt, t)
 
     def _occ_sample(self, crt: _Coord, t: int) -> None:
         """Close the occupancy step since the last sample; exact when called at each change."""
@@ -715,15 +680,8 @@ class Simulation:
         crt.busy = False
         for dst, m in out.sends:
             self._send(node, dst, m, t)
-        for m in out.internal:  # condvar resumes: enqueued as in _on_msg, not traced
-            crt.inbox.append((m, node))
-            depth = len(crt.inbox)
-            if depth > self.stats.max_inbox_depth:
-                self.stats.max_inbox_depth = depth
-            if depth > self.cfg.inbox_depth:
-                self.stats.inbox_pressure_events += 1
-            if not crt.busy:
-                self._start_service(crt, t)
+        for m in out.internal:  # condvar resumes: not traced as received
+            self._intake(crt, (m, node), t)
         if crt.inbox and not crt.busy:
             self._start_service(crt, t)
 

@@ -6,11 +6,16 @@ A program is a generator yielding steps:
     ("mem", addr, write)               one 64-byte data access
     ("lock_acquire", addr)             blocking
     ("lock_release", addr)
-    ("barrier_wait", addr, n, within)  blocking, n participants
+    ("barrier_wait", addr, n, within)  blocking, n participants; within: all in one unit
     ("sem_wait", addr, initial)        blocking
     ("sem_post", addr)
     ("cond_wait", cv, lock)            blocking; releases and re-acquires lock
-    ("cond_signal", cv) / ("cond_broadcast", cv)
+    ("cond_signal", cv)
+    ("cond_broadcast", cv)
+
+The eight synchronization kinds are those of sim._REQUEST, Stats.ops and
+IdealOracle's methods; a step's third field, when it has one, is the info
+word its request carries.
 
 Shared workload state is mutated inside critical sections, so the final
 state is a function of the set of executed operations, not their

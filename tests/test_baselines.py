@@ -106,7 +106,7 @@ def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
     assert o.lock_acquire(w, 128)
     o.cond_wait(w, 64, 128)          # parks w, frees the lock
     assert o.lock_acquire(s, 128)    # signaler takes it
-    o.cond_signal(64)                # w must wait for the lock
+    o.cond_signal(s, 64)             # w must wait for the lock
     assert wakes == []
     o.lock_release(s, 128)           # handoff wakes w holding the lock
     assert wakes == [(w, "cond", 64, 128)]
@@ -115,18 +115,19 @@ def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
 
 def test_ideal_cond_signal_on_free_lock_wakes_immediately():
     o, wakes = oracle_with_log()
-    w = ("core", 0, 0)
+    w, s = ("core", 0, 0), ("core", 0, 1)
     o.lock_acquire(w, 128)
     o.cond_wait(w, 64, 128)
-    o.cond_signal(64)
+    o.cond_signal(s, 64)
     assert wakes == [(w, "cond", 64, 128)]
     o.lock_release(w, 128)
 
 
 def test_ideal_lost_signal_is_absorbed():
     o, wakes = oracle_with_log()
-    o.cond_signal(64)
-    o.cond_broadcast(64)
+    s = ("core", 0, 0)
+    o.cond_signal(s, 64)
+    o.cond_broadcast(s, 64)
     assert wakes == []
 
 
@@ -141,7 +142,7 @@ def test_ideal_broadcast_wakes_all():
     o.cond_wait(cores[1], 64, 128)   # lock hands to cores[2]
     o.lock_release(cores[2], 128)
     wakes.clear()
-    o.cond_broadcast(64)
+    o.cond_broadcast(cores[2], 64)
     assert (cores[0], "cond", 64, 128) in wakes  # first waiter got the free lock
     o.lock_release(cores[0], 128)
     assert (cores[1], "cond", 64, 128) in wakes  # second resumed on handoff

@@ -1,6 +1,6 @@
 import pytest
 
-from ndpsync.engine import Coordinator, Output
+from ndpsync.engine import WAKE_ALL, Coordinator, Output
 from ndpsync.errors import ProtocolError
 from ndpsync.messages import Message, Opcode
 from ndpsync.sim import Simulation
@@ -204,6 +204,55 @@ def test_non_master_condvar_announces_while_its_entry_exists():
     assert sent(again, Opcode.COND_WAIT_GLOBAL) == [(("coord", 0), announce)]
 
 
+# -- one primitive per variable -------------------------------------------------------
+
+
+def non_master_with(entry):
+    """Unit 1 of a 2x3 syncron system, non-master for 0x40 and 0x80, where
+    core (1, 0) has a lock request out on 0x40 ("lock") or, having held lock
+    0x80, is parked in a wait on condvar 0x40 ("condvar")."""
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 1)
+    if entry == "lock":
+        coord.handle(Message(0x40, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    else:
+        coord.handle(Message(0x80, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+        coord.handle(Message(0x80, Opcode.LOCK_GRANT_GLOBAL, 0, 0))
+        coord.handle(Message(0x40, Opcode.COND_WAIT_LOCAL, 0, 0x80))
+    assert coord.meta[0x40].primitive == entry and coord.meta[0x40].locals == 1
+    return coord
+
+
+@pytest.mark.parametrize("entry, grant, used_as", [
+    ("condvar", Opcode.LOCK_GRANT_GLOBAL, "lock"),
+    ("lock", Opcode.SEM_GRANT_GLOBAL, "semaphore"),
+    ("lock", Opcode.BARRIER_DEPART_GLOBAL, "barrier"),
+    ("lock", Opcode.COND_GRANT_GLOBAL, "condvar"),
+], ids=["lock-grant-to-condvar", "sem-grant-to-lock", "barrier-depart-to-lock",
+        "cond-grant-to-lock"])
+def test_global_grant_for_another_primitive_rejected(entry, grant, used_as):
+    # the parked core must not be woken by a grant meant for another primitive
+    coord = non_master_with(entry)
+    with pytest.raises(ProtocolError,
+                       match=f"^variable 0x40 used as {used_as} but live as {entry}$"):
+        coord.handle(Message(0x40, grant, 0, 1))
+    assert coord.meta[0x40].locals == 1 and coord.meta[0x40].owner is None
+
+
+def test_request_for_another_primitive_rejected_before_any_change():
+    # at the master: a local request, and an overflow request that would
+    # otherwise first move the lock's entry into memory
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    coord.handle(Message(0x40, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    with pytest.raises(ProtocolError, match="^variable 0x40 used as semaphore but live as lock$"):
+        coord.handle(Message(0x40, Opcode.SEM_WAIT_LOCAL, 1, 1))
+    with pytest.raises(ProtocolError, match="^variable 0x40 used as barrier but live as lock$"):
+        coord.handle(Message(0x40, Opcode.BARRIER_WAIT_OVERFLOW, 1 << 2 | 0, 4))
+    assert not coord.meta[0x40].in_memory
+    assert coord.table.occupied_count == 1 and coord.counters.total() == 0
+
+
 @pytest.mark.parametrize("scheme", ["syncron", "hier"])
 def test_release_with_parked_waiter_rejected(scheme):
     # a table- or server-backed variable must not be freed while a core waits on it
@@ -333,6 +382,83 @@ def test_condvar_master_wakes_local_first_then_lowest_unit_overflow_before_aggre
     ]
     assert coord.meta == {}
     assert coord.counters.total() == 0
+
+
+def test_overflow_wakes_reach_the_redirected_core():
+    # unit 1, non-master with a full one-entry table, redirects core (1, 1)'s
+    # semaphore and barrier waits; the master's overflow grants come back to
+    # unit 1, which wakes the core and counts its enrolment down
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, st_entries=1)
+    coord = Coordinator(cfg, 1)
+    S, B, CV, L, packed = 0x40, 0x80, 0xC0, 0x100, 1 << 2 | 1
+    coord.handle(Message(0x140, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))  # fills the table
+    for msg in (Message(S, Opcode.SEM_WAIT_LOCAL, 1, 0),
+                Message(B, Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS, 1, 4)):
+        assert coord.handle(msg).overflowed
+    assert coord.enrolled == {S: 1, B: 1}
+    cases = [
+        (Message(S, Opcode.SEM_GRANT_OVERFLOW, packed, 0),
+         Message(S, Opcode.SEM_GRANT_LOCAL, 1, 0)),
+        (Message(B, Opcode.BARRIER_DEPARTURE_OVERFLOW, packed, 0),
+         Message(B, Opcode.BARRIER_DEPART_LOCAL, 1, 0)),
+    ]
+    for wake, grant in cases:
+        assert coord.handle(wake).sends == [(("core", 1, 1), grant)]
+    assert coord.enrolled == {S: 0, B: 0}
+    # a condvar wake resumes the waiter by re-acquiring its lock here
+    out = coord.handle(Message(CV, Opcode.COND_GRANT_OVERFLOW, packed, L))
+    assert out.sends == [] and out.internal == [Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 1, CV)]
+
+
+def test_master_sends_barrier_departures_to_overflow_waiters():
+    # syncron 2x3: core (1, 0) arrives through the overflow path, core (0, 0)
+    # completes the two-core barrier at its master
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    B = 0x40
+    coord.handle(Message(B, Opcode.BARRIER_WAIT_OVERFLOW, 1 << 2 | 0, 2))
+    out = coord.handle(Message(B, Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS, 0, 2))
+    assert out.sends == [
+        (("coord", 1), Message(B, Opcode.BARRIER_DEPARTURE_OVERFLOW, 1 << 2 | 0, 0)),
+        (("core", 0, 0), Message(B, Opcode.BARRIER_DEPART_LOCAL, 0, 0)),
+        (("coord", 1), Message(B, Opcode.DECREASE_INDEXING_COUNTER, 0, 0)),
+    ]
+    assert coord.meta == {} and coord.counters.total() == 0
+
+
+def test_condvar_broadcast_at_the_master_wakes_every_level():
+    # a local waiter, a unit-1 overflow waiter and unit 1's aggregate all wake
+    # on one broadcast; a broadcast with nothing parked does nothing
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    CV, L = 0x40, 0x80
+    coord.handle(Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    coord.handle(Message(CV, Opcode.COND_WAIT_LOCAL, 0, L))
+    coord.handle(Message(CV, Opcode.COND_WAIT_OVERFLOW, 1 << 2 | 1, L))
+    coord.handle(Message(CV, Opcode.COND_WAIT_GLOBAL, 1, L))
+    out = coord.handle(Message(CV, Opcode.COND_BROAD_LOCAL, 1, 0))
+    assert out.internal == [Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 0, CV)]
+    assert out.sends == [
+        (("coord", 1), Message(CV, Opcode.COND_GRANT_OVERFLOW, 1 << 2 | 1, L)),
+        (("coord", 1), Message(CV, Opcode.COND_GRANT_GLOBAL, 0, WAKE_ALL)),
+        (("coord", 1), Message(CV, Opcode.DECREASE_INDEXING_COUNTER, 0, 0)),
+    ]
+    assert CV not in coord.meta and coord.counters.total() == 0
+    idle = coord.handle(Message(CV, Opcode.COND_BROAD_LOCAL, 1, 0))
+    assert (idle.sends, idle.internal, idle.mem_ops) == ([], [], [])
+    assert CV not in coord.meta
+
+
+def test_condvar_wait_naming_another_lock_rejected():
+    cfg = SystemConfig(num_units=1, cores_per_unit=3)
+    coord = Coordinator(cfg, 0)
+    CV, L1, L2 = 0x40, 0x80, 0xC0
+    for core, lock in ((0, L1), (1, L2)):
+        coord.handle(Message(lock, Opcode.LOCK_ACQUIRE_LOCAL, core, 0))
+    coord.handle(Message(CV, Opcode.COND_WAIT_LOCAL, 0, L1))
+    with pytest.raises(ProtocolError,
+                       match="^condvar associated with lock 0x80, wait names 0xc0$"):
+        coord.handle(Message(CV, Opcode.COND_WAIT_LOCAL, 1, L2))
 
 
 @pytest.mark.parametrize("scheme, core_id", [

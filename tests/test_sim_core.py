@@ -4,11 +4,13 @@ import random
 import pytest
 
 import ndpsync.sim as sim_module
+from ndpsync.baselines import IdealOracle
 from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
 from ndpsync.messages import Message, Opcode
 from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_PS, SERVICE,
                          EnergyModel, LatencyModel, Network, Simulation, Stats)
 from ndpsync.topology import SystemConfig
+from ndpsync.verifier import verify_trace
 from ndpsync.workloads import make_workload
 from script_workload import Script
 
@@ -395,6 +397,62 @@ def test_widest_packed_core_id_encodes():
     stats = sim.run()
     assert stats.sync_overflowed > 0
     assert len(sim.wire_log) == 18 * (stats.messages_intra + stats.messages_inter)
+
+
+# -- one step vocabulary ---------------------------------------------------------
+
+
+def test_requests_stats_and_oracle_name_the_same_step_kinds():
+    oracle = {name for name, fn in vars(IdealOracle).items()
+              if callable(fn) and not name.startswith("_")}
+    assert list(Stats().ops) == list(sim_module._REQUEST)
+    assert set(sim_module._REQUEST) == oracle and len(oracle) == 8
+
+
+def test_unknown_step_kind_rejected():
+    sim = tiny_sim(steps={0: [("lock_upgrade", 64)]})
+    with pytest.raises(ProtocolError, match="^unknown workload step 'lock_upgrade'$"):
+        sim.run()
+
+
+def every_step_kind(cfg):
+    """Client steps on 2x3 that use all eight step kinds: condvar CV and
+    semaphore S on unit 0, the condvar's lock L and barrier B on unit 1.
+    Clients 0-2 wait on CV; client 3, holding L, signals one of them and
+    later broadcasts to the other two; then all four meet at B and take S."""
+    CV, S = 0x10_000, 0x10_040
+    L, B = cfg.unit_mem_bytes + 0x10_000, cfg.unit_mem_bytes + 0x10_040
+    tail = [("barrier_wait", B, 4, False), ("sem_wait", S, 1), ("sem_post", S)]
+    waiter = [("lock_acquire", L), ("cond_wait", CV, L), ("lock_release", L)] + tail
+
+    def wake(kind):
+        return [("compute", 20_000), ("lock_acquire", L), (kind, CV), ("lock_release", L)]
+
+    return {0: waiter, 1: list(waiter), 2: list(waiter),
+            3: wake("cond_signal") + wake("cond_broadcast") + tail}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_step_kind_counts_alike_under_every_scheme(scheme):
+    # a cond wait counts its lock's release at issue and itself at the wake
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
+    sim = Simulation(cfg, Script(cfg, every_step_kind(cfg)), trace=True)
+    assert sim.run().ops == {"lock_acquire": 5, "lock_release": 8, "barrier_wait": 4,
+                             "sem_wait": 4, "sem_post": 4, "cond_wait": 3,
+                             "cond_signal": 1, "cond_broadcast": 1}
+    assert verify_trace(sim.trace) == []
+
+
+def test_flat_condvar_master_releases_and_reacquires_the_lock_at_its_master():
+    # CV's master, unit 0, releases each waiter's lock L at L's master, unit 1,
+    # and re-acquires it there for each woken waiter
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme="flat")
+    sim = Simulation(cfg, Script(cfg, every_step_kind(cfg)), trace=True)
+    sim.run()
+    L = cfg.unit_mem_bytes + 0x10_000
+    forwarded = [Opcode(r.info).name for r in sim.trace
+                 if r.kind == "msg_send" and r.local == -1 and r.unit == 0 and r.addr == L]
+    assert forwarded == ["LOCK_RELEASE_LOCAL"] * 3 + ["LOCK_ACQUIRE_LOCAL"] * 3
 
 
 # -- scheme axes -----------------------------------------------------------------

@@ -130,6 +130,13 @@ def test_cond_wake_without_sleep_fails():
     assert violations and "without a pending sleep" in violations[0]
 
 
+def test_cond_wake_before_its_sleep_fails():
+    trace = [rec(20, "cond_sleep", 0, 0, 64, 128),
+             rec(10, "cs_enter", 0, 0, 128), rec(10, "cond_wake", 0, 0, 64, 128)]
+    violations = check_condvars(trace)
+    assert len(violations) == 1 and "woke at 10 ps before sleeping at 20 ps" in violations[0]
+
+
 def test_cond_wake_without_lock_reacquire_fails():
     trace = cond_trace()
     del trace[3]  # drop the re-entry record

@@ -61,6 +61,10 @@ def test_lock_params_flow_through():
     sim = run("syncron", "lock", params={"iterations": 3})
     # 6 clients x 3 iterations
     assert sim.stats.completed_ops == 18
+    # compute inside each critical section lengthens the serialized run
+    held = run("syncron", "lock", params={"iterations": 3, "cs_instr": 100})
+    assert held.stats.completed_ops == 18
+    assert held.stats.time_ps > sim.stats.time_ps
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
