@@ -8,14 +8,14 @@ baselines on microbenchmarks and lock-based data structures.
 """
 
 from .topology import SystemConfig, master_se_of
-from .messages import Message, Opcode, OpClass, encode, decode, classify_opcode, CodecError
+from .messages import Message, Opcode, encode, decode, CodecError
 from .sync_table import SynchronizationTable, IndexingCounters, TableFull
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .sim import LatencyModel, EnergyModel, Stats
 
 __all__ = [
     "SystemConfig", "master_se_of",
-    "Message", "Opcode", "OpClass", "encode", "decode", "classify_opcode", "CodecError",
+    "Message", "Opcode", "encode", "decode", "CodecError",
     "SynchronizationTable", "IndexingCounters", "TableFull",
     "ConfigError", "ProtocolError", "SimulationDeadlock",
     "LatencyModel", "EnergyModel", "Stats",

@@ -19,11 +19,12 @@ redirect requests with *_overflow opcodes carrying a packed {unit, core}
 id and track the episode in their indexing counters until the master
 broadcasts decrease_indexing_counter at quiescence.
 
-One handler serves each primitive action at every level. The level is the
-last word of the opcode's name, and it only says who asks, named by the
-message's core id: a client core by the id on its own requests (LOCAL), a
-unit's aggregate by the unit (GLOBAL), or another unit's core by its packed
-{unit, core} id (OVERFLOW). Each level waits in its own mask, and grants go
+One handler serves each primitive action at every level. An opcode's
+primitive, action and level come from messages.py, the one module that reads
+opcode names. The level only says who asks, named by the message's core id:
+a client core by the id on its own requests (LOCAL), a unit's aggregate by
+the unit (GLOBAL), or another unit's core by its packed {unit, core} id
+(OVERFLOW). Each level waits in its own mask, and grants go
 back by the same level. A variable's one VarMeta (an entry, a server's state,
 or a record: `in_memory`) is looked up once per message, checked against the
 primitive the opcode acts on, and passed along.
@@ -34,54 +35,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError
-from .messages import (_CLASS, SYNC_REQUESTS, Message, OpClass, Opcode, core_id_bits,
-                       pack_core, unpack_core)
+from .messages import (ACQUIRE, ACQUIRES, ACTION, BARRIER, BROADCAST, CONDVAR, GLOBAL, GRANT,
+                       LEVEL, LOCAL, LOCK, OVERFLOW, POST, PRIMITIVE, RELEASE, SEMAPHORE,
+                       SIGNAL, SYNC_REQUESTS, WAIT, Message, Opcode, core_id_bits, pack_core,
+                       unpack_core)
 from .sync_table import IndexingCounters, SynchronizationTable
 from .topology import SystemConfig, master_se_of
 
 # info value on a cond grant that wakes every parked waiter of a unit
 WAKE_ALL = (1 << 64) - 1
 
-LOCK = "lock"
-BARRIER = "barrier"
-SEMAPHORE = "semaphore"
-CONDVAR = "condvar"
-
-# the primitive each opcode acts on, by its name's first word; None for the
-# counter decrease, which acts on no variable's state
-_PRIMITIVE = {op: {"LOCK": LOCK, "BARRIER": BARRIER, "SEM": SEMAPHORE, "COND": CONDVAR}
-              .get(op.name.partition("_")[0]) for op in Opcode}
-
-# who asks, by the last word of the opcode's name (a barrier's LOCAL_WITHIN_UNIT
-# and LOCAL_ACROSS_UNITS waits are local); the values index _LOCK_GRANT
-LOCAL, GLOBAL, OVERFLOW = 0, 1, 2
-_LEVEL = {op: GLOBAL if op.name.endswith("_GLOBAL")
-          else OVERFLOW if op.name.endswith("_OVERFLOW") else LOCAL for op in Opcode}
 _LOCK_GRANT = (Opcode.LOCK_GRANT_LOCAL, Opcode.LOCK_GRANT_GLOBAL, Opcode.LOCK_GRANT_OVERFLOW)
 # requests whose core id must name a client of the receiving coordinator
-_CLIENT_REQUESTS = frozenset(op for op in SYNC_REQUESTS if _LEVEL[op] == LOCAL)
-_OVERFLOW_ACQUIRES = frozenset(op for op in Opcode if _CLASS[op] is OpClass.OVERFLOW_ACQUIRE)
+_CLIENT_REQUESTS = frozenset(op for op in SYNC_REQUESTS if LEVEL[op] == LOCAL)
 # another unit's requests, redirected to the master's memory path
-_OVERFLOW_REQUESTS = frozenset(op for op in Opcode if _CLASS[op] in
-                               (OpClass.OVERFLOW_ACQUIRE, OpClass.OVERFLOW_RELEASE))
-
-_OVERFLOW_FORM = {
-    Opcode.LOCK_ACQUIRE_LOCAL: Opcode.LOCK_ACQUIRE_OVERFLOW,
-    Opcode.LOCK_RELEASE_LOCAL: Opcode.LOCK_RELEASE_OVERFLOW,
-    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: Opcode.BARRIER_WAIT_OVERFLOW,
-    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: Opcode.BARRIER_WAIT_OVERFLOW,
-    Opcode.SEM_WAIT_LOCAL: Opcode.SEM_WAIT_OVERFLOW,
-    Opcode.SEM_POST_LOCAL: Opcode.SEM_POST_OVERFLOW,
-    Opcode.COND_WAIT_LOCAL: Opcode.COND_WAIT_OVERFLOW,
-    Opcode.COND_SIGNAL_LOCAL: Opcode.COND_SIGNAL_OVERFLOW,
-    Opcode.COND_BROAD_LOCAL: Opcode.COND_BROAD_OVERFLOW,
-}
+_OVERFLOW_REQUESTS = frozenset(op for op in Opcode if LEVEL[op] == OVERFLOW
+                               and PRIMITIVE[op] is not None and ACTION[op] != GRANT)
+_OVERFLOW_ACQUIRES = frozenset(op for op in _OVERFLOW_REQUESTS if ACTION[op] in ACQUIRES)
+# a client request as a non-master redirects it: the same primitive and action
+# at the OVERFLOW level (both barrier local waits become BARRIER_WAIT_OVERFLOW)
+_REDIRECTED = {op: form for op in _CLIENT_REQUESTS for form in _OVERFLOW_REQUESTS
+               if (PRIMITIVE[form], ACTION[form]) == (PRIMITIVE[op], ACTION[op])}
 
 # condvar signals and broadcasts: with nothing parked anywhere they are lost
-_COND_SIGNALS = frozenset(op for op in Opcode if _PRIMITIVE[op] == CONDVAR
-                          and _CLASS[op] in (OpClass.RELEASE, OpClass.OVERFLOW_RELEASE))
-_LOCK_RELEASES = frozenset((Opcode.LOCK_RELEASE_LOCAL, Opcode.LOCK_RELEASE_GLOBAL,
-                            Opcode.LOCK_RELEASE_OVERFLOW))
+_SIGNALS = frozenset(op for op in Opcode if ACTION[op] in (SIGNAL, BROADCAST))
+_UNLOCKS = frozenset(op for op in Opcode if PRIMITIVE[op] == LOCK and ACTION[op] == RELEASE)
 
 
 def _low_bit(mask: int) -> int:
@@ -292,9 +270,9 @@ class Coordinator:
             self._client(msg.core_id)
         # the variable's one lookup: its live state must be of the opcode's primitive
         meta = self.meta.get(addr)
-        if meta is not None and meta.primitive != _PRIMITIVE[op]:
+        if meta is not None and meta.primitive != PRIMITIVE[op]:
             raise ProtocolError(
-                f"variable {addr:#x} used as {_PRIMITIVE[op]} but live as {meta.primitive}")
+                f"variable {addr:#x} used as {PRIMITIVE[op]} but live as {meta.primitive}")
 
         if op in _OVERFLOW_REQUESTS:
             if self.server or not self.is_master_for(addr):
@@ -329,12 +307,13 @@ class Coordinator:
         """Non-master with no table room: forward to the master via memory."""
         out.overflowed = True
         _, unit, local = self.clients[msg.core_id]
-        if _CLASS[msg.opcode] is OpClass.ACQUIRE:
+        form = _REDIRECTED[msg.opcode]
+        if form in _OVERFLOW_ACQUIRES:
             if msg.addr not in self.enrolled:
                 self.enrolled[msg.addr] = 0
                 self.counters.increment(msg.addr)
             self.enrolled[msg.addr] += 1
-        self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, _OVERFLOW_FORM[msg.opcode],
+        self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, form,
                       pack_core(unit, local, self.core_bits), msg.info)
 
     def _on_decrease(self, msg: Message, out: Output) -> None:
@@ -376,11 +355,11 @@ class Coordinator:
         out.overflowed = True
         out.mem_ops.append(("read", addr))
         if meta is None:
-            if op in _COND_SIGNALS:
+            if op in _SIGNALS:
                 return  # lost signal: nothing parked anywhere
-            if op in _LOCK_RELEASES:
+            if op in _UNLOCKS:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
-            meta = self.meta[addr] = VarMeta(_PRIMITIVE[op], in_memory=True)
+            meta = self.meta[addr] = VarMeta(PRIMITIVE[op], in_memory=True)
             self.counters.increment(addr)
         elif not meta.in_memory:
             # migrate a live entry to memory: a remote engine overflowed first
@@ -429,7 +408,7 @@ class Coordinator:
 
     def _lock_acquire(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         who = msg.core_id
         meta, fresh = self._get_or_reserve(addr, meta, LOCK, out)
         if level == LOCAL and not self.is_master_for(addr):
@@ -446,7 +425,7 @@ class Coordinator:
 
     def _lock_release(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         who = msg.core_id
         if meta is None or meta.owner != (level, who):
             node = (self.clients[who] if level == LOCAL else ("unit", who) if level == GLOBAL
@@ -478,7 +457,7 @@ class Coordinator:
 
     def _barrier_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         who = msg.core_id
         info = msg.info
         meta, _ = self._get_or_reserve(addr, meta, BARRIER, out)
@@ -545,7 +524,7 @@ class Coordinator:
 
     def _sem_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         who = msg.core_id
         meta, _ = self._get_or_reserve(addr, meta, SEMAPHORE, out)
         if level == LOCAL and not self.is_master_for(addr):
@@ -563,7 +542,7 @@ class Coordinator:
 
     def _sem_post(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         if level == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.SEM_POST_GLOBAL, 1)
             return
@@ -610,7 +589,7 @@ class Coordinator:
 
     def _cond_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
-        level = _LEVEL[msg.opcode]
+        level = LEVEL[msg.opcode]
         meta, fresh = self._get_or_reserve(addr, meta, CONDVAR, out)
         self._cond_lock_set(meta, msg.info)
         self._enqueue(meta, level, msg.core_id)
@@ -621,7 +600,7 @@ class Coordinator:
     def _cond_signal(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake the next waiter; with none parked the signal is lost."""
         addr = msg.addr
-        if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
+        if LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_SIGNAL_GLOBAL)
             return
         waiter = None if meta is None else self._pop_waiter(meta)
@@ -639,7 +618,7 @@ class Coordinator:
     def _cond_broadcast(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake every waiter: local cores, then overflow cores, then units."""
         addr = msg.addr
-        if _LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
+        if LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_BROAD_GLOBAL)
             return
         if meta is None:
@@ -686,48 +665,36 @@ class Coordinator:
             out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr))
 
 
-def _route(op: Opcode):
-    """handle()'s entry point for `op`.
-
-    Overflow wakes go to the redirected core, the counter decrease updates
-    the indexing counters, and two local requests need set-up before
-    _handle_inner: a cond wait releases its lock, and a lock acquire may
-    resume a condvar waiter. _handle_inner serves the rest, overflow
-    requests included.
-    """
-    if op is Opcode.DECREASE_INDEXING_COUNTER:
-        return Coordinator._on_decrease
-    if op is Opcode.COND_WAIT_LOCAL:
-        return Coordinator._cond_wait_request
-    if op is Opcode.LOCK_ACQUIRE_LOCAL:
-        return Coordinator._lock_acquire_request
-    if _CLASS[op] is OpClass.OVERFLOW_GRANT:
-        return Coordinator._deliver_overflow_wake
-    return Coordinator._handle_inner
-
-
-# Both tables are indexed by opcode once per message. They replace chains of
-# `op is Opcode.X` tests, each of which pays for an EnumType.__getattr__ call.
-_ROUTE = {op: _route(op) for op in Opcode}
+# handle()'s entry point for each opcode. Overflow grants wake the redirected
+# core, the counter decrease updates the indexing counters, and two local
+# requests need set-up before _handle_inner: a cond wait releases its lock, and
+# a lock acquire may resume a condvar waiter. _handle_inner serves the rest,
+# overflow requests included. This table and _HANDLER are each indexed once per
+# message, in place of chains of `op is Opcode.X` tests (an EnumType.__getattr__ each).
+_ROUTE = {op: Coordinator._deliver_overflow_wake if ACTION[op] == GRANT and LEVEL[op] == OVERFLOW
+          else Coordinator._handle_inner for op in Opcode}
+_ROUTE.update({Opcode.DECREASE_INDEXING_COUNTER: Coordinator._on_decrease,
+               Opcode.COND_WAIT_LOCAL: Coordinator._cond_wait_request,
+               Opcode.LOCK_ACQUIRE_LOCAL: Coordinator._lock_acquire_request})
 
 # the state-machine step for each opcode, called with (msg, VarMeta or None, out):
-# one per action, whatever the level, by its name's first two words; a
-# coordinator serves no core-bound one
+# one per primitive and action, whatever the level; a grant comes to a
+# coordinator's state machine only as the master's answer to its unit's
+# GLOBAL request, and a coordinator serves no core-bound one
 _ACTIONS = {
-    "LOCK_ACQUIRE": Coordinator._lock_acquire,
-    "LOCK_RELEASE": Coordinator._lock_release,
-    "BARRIER_WAIT": Coordinator._barrier_wait,
-    "SEM_WAIT": Coordinator._sem_wait,
-    "SEM_POST": Coordinator._sem_post,
-    "COND_WAIT": Coordinator._cond_wait,
-    "COND_SIGNAL": Coordinator._cond_signal,
-    "COND_BROAD": Coordinator._cond_broadcast,
+    (LOCK, ACQUIRE): Coordinator._lock_acquire,
+    (LOCK, RELEASE): Coordinator._lock_release,
+    (LOCK, GRANT): Coordinator._lock_grant_global,
+    (BARRIER, WAIT): Coordinator._barrier_wait,
+    (BARRIER, GRANT): Coordinator._barrier_depart_global,
+    (SEMAPHORE, WAIT): Coordinator._sem_wait,
+    (SEMAPHORE, POST): Coordinator._sem_post,
+    (SEMAPHORE, GRANT): Coordinator._sem_grant_global,
+    (CONDVAR, WAIT): Coordinator._cond_wait,
+    (CONDVAR, SIGNAL): Coordinator._cond_signal,
+    (CONDVAR, BROADCAST): Coordinator._cond_broadcast,
+    (CONDVAR, GRANT): Coordinator._cond_grant_global,
 }
-_HANDLER = {op: _ACTIONS.get("_".join(op.name.split("_")[:2]), Coordinator._not_served)
+_HANDLER = {op: _ACTIONS.get((PRIMITIVE[op], ACTION[op]), Coordinator._not_served)
+            if ACTION[op] != GRANT or LEVEL[op] == GLOBAL else Coordinator._not_served
             for op in Opcode}
-_HANDLER.update({
-    Opcode.LOCK_GRANT_GLOBAL: Coordinator._lock_grant_global,
-    Opcode.BARRIER_DEPART_GLOBAL: Coordinator._barrier_depart_global,
-    Opcode.SEM_GRANT_GLOBAL: Coordinator._sem_grant_global,
-    Opcode.COND_GRANT_GLOBAL: Coordinator._cond_grant_global,
-})

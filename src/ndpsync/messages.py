@@ -81,78 +81,37 @@ class Opcode(enum.IntEnum):
 assert len(Opcode) == 38
 
 
-class OpClass(enum.Enum):
-    ACQUIRE = "acquire"
-    RELEASE = "release"
-    GRANT = "grant"
-    DEPART = "depart"
-    OVERFLOW_ACQUIRE = "overflow_acquire"
-    OVERFLOW_RELEASE = "overflow_release"
-    OVERFLOW_GRANT = "overflow_grant"
-    CONTROL = "control"
+# The vocabulary. An opcode's name spells PRIMITIVE_ACTION_LEVEL, and only this
+# module reads it. The level names who asks or is answered: a client core
+# (LOCAL), a unit's aggregate (GLOBAL), or another unit's core served from the
+# master's memory (OVERFLOW). Irregular names: the barrier's two LOCAL_* waits
+# are local, a barrier departure is its grant, and the counter decrease, sent
+# between coordinators, acts on no primitive.
+LOCK, BARRIER, SEMAPHORE, CONDVAR = "lock", "barrier", "semaphore", "condvar"
+ACQUIRE, RELEASE, WAIT, POST, SIGNAL, BROADCAST, GRANT, DECREASE = (
+    "acquire", "release", "wait", "post", "signal", "broadcast", "grant", "decrease")
+LOCAL, GLOBAL, OVERFLOW = 0, 1, 2  # the values index per-level tuples
+_WORDS = {"LOCK": LOCK, "BARRIER": BARRIER, "SEM": SEMAPHORE, "COND": CONDVAR,
+          "ACQUIRE": ACQUIRE, "RELEASE": RELEASE, "WAIT": WAIT, "POST": POST, "SIGNAL": SIGNAL,
+          "BROAD": BROADCAST, "GRANT": GRANT, "DEPART": GRANT, "DEPARTURE": GRANT,
+          "LOCAL": LOCAL, "GLOBAL": GLOBAL, "OVERFLOW": OVERFLOW}
 
 
-_CLASS = {
-    Opcode.LOCK_ACQUIRE_GLOBAL: OpClass.ACQUIRE,
-    Opcode.LOCK_ACQUIRE_LOCAL: OpClass.ACQUIRE,
-    Opcode.BARRIER_WAIT_GLOBAL: OpClass.ACQUIRE,
-    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: OpClass.ACQUIRE,
-    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: OpClass.ACQUIRE,
-    Opcode.SEM_WAIT_GLOBAL: OpClass.ACQUIRE,
-    Opcode.SEM_WAIT_LOCAL: OpClass.ACQUIRE,
-    Opcode.COND_WAIT_GLOBAL: OpClass.ACQUIRE,
-    Opcode.COND_WAIT_LOCAL: OpClass.ACQUIRE,
-
-    Opcode.LOCK_RELEASE_GLOBAL: OpClass.RELEASE,
-    Opcode.LOCK_RELEASE_LOCAL: OpClass.RELEASE,
-    Opcode.SEM_POST_GLOBAL: OpClass.RELEASE,
-    Opcode.SEM_POST_LOCAL: OpClass.RELEASE,
-    # signal/broadcast never block the caller: release-type.
-    Opcode.COND_SIGNAL_GLOBAL: OpClass.RELEASE,
-    Opcode.COND_SIGNAL_LOCAL: OpClass.RELEASE,
-    Opcode.COND_BROAD_GLOBAL: OpClass.RELEASE,
-    Opcode.COND_BROAD_LOCAL: OpClass.RELEASE,
-
-    Opcode.LOCK_GRANT_GLOBAL: OpClass.GRANT,
-    Opcode.LOCK_GRANT_LOCAL: OpClass.GRANT,
-    Opcode.SEM_GRANT_GLOBAL: OpClass.GRANT,
-    Opcode.SEM_GRANT_LOCAL: OpClass.GRANT,
-    Opcode.COND_GRANT_GLOBAL: OpClass.GRANT,
-    Opcode.COND_GRANT_LOCAL: OpClass.GRANT,
-
-    Opcode.BARRIER_DEPART_GLOBAL: OpClass.DEPART,
-    Opcode.BARRIER_DEPART_LOCAL: OpClass.DEPART,
-
-    Opcode.LOCK_ACQUIRE_OVERFLOW: OpClass.OVERFLOW_ACQUIRE,
-    Opcode.BARRIER_WAIT_OVERFLOW: OpClass.OVERFLOW_ACQUIRE,
-    Opcode.SEM_WAIT_OVERFLOW: OpClass.OVERFLOW_ACQUIRE,
-    Opcode.COND_WAIT_OVERFLOW: OpClass.OVERFLOW_ACQUIRE,
-
-    Opcode.LOCK_RELEASE_OVERFLOW: OpClass.OVERFLOW_RELEASE,
-    Opcode.SEM_POST_OVERFLOW: OpClass.OVERFLOW_RELEASE,
-    Opcode.COND_SIGNAL_OVERFLOW: OpClass.OVERFLOW_RELEASE,
-    Opcode.COND_BROAD_OVERFLOW: OpClass.OVERFLOW_RELEASE,
-
-    # wake-direction overflow messages, barrier departure included
-    Opcode.LOCK_GRANT_OVERFLOW: OpClass.OVERFLOW_GRANT,
-    Opcode.SEM_GRANT_OVERFLOW: OpClass.OVERFLOW_GRANT,
-    Opcode.COND_GRANT_OVERFLOW: OpClass.OVERFLOW_GRANT,
-    Opcode.BARRIER_DEPARTURE_OVERFLOW: OpClass.OVERFLOW_GRANT,
-
-    Opcode.DECREASE_INDEXING_COUNTER: OpClass.CONTROL,
-}
-
-assert len(_CLASS) == len(Opcode)
+def _parse(op: Opcode) -> tuple:
+    if op is Opcode.DECREASE_INDEXING_COUNTER:
+        return None, DECREASE, GLOBAL
+    return tuple(_WORDS[word] for word in op.name.split("_")[:3])
 
 
-def classify_opcode(op: Opcode) -> OpClass:
-    """Total mapping of opcode to semantic class."""
-    return _CLASS[op]
-
-
-# acquire- and release-class opcodes: the requests a table entry serves
-SYNC_REQUESTS = frozenset(op for op, cls in _CLASS.items()
-                          if cls in (OpClass.ACQUIRE, OpClass.RELEASE))
+_PARSED = {op: _parse(op) for op in Opcode}
+PRIMITIVE = {op: words[0] for op, words in _PARSED.items()}
+ACTION = {op: words[1] for op, words in _PARSED.items()}
+LEVEL = {op: words[2] for op, words in _PARSED.items()}
+# acquire-type actions block the caller until a grant; the other requests never do
+ACQUIRES = frozenset((ACQUIRE, WAIT))
+# the acquire- and release-type requests of a client or a unit: what a table entry serves
+SYNC_REQUESTS = frozenset(op for op in Opcode if PRIMITIVE[op] is not None
+                          and ACTION[op] != GRANT and LEVEL[op] != OVERFLOW)
 
 
 class Message(NamedTuple):

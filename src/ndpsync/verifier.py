@@ -143,7 +143,8 @@ def check_termination(records, expected_ops: dict | None = None) -> list[str]:
     if expected_ops:
         observed = {
             "lock_acquire": counts["cs_enter"] - counts["cond_wake"],
-            "lock_release": counts["cs_exit"] - counts["cond_sleep"],
+            # a cond wait releases its lock too: its cs_exit counts
+            "lock_release": counts["cs_exit"],
             "barrier_wait": counts["barrier_depart"],
             "sem_wait": counts["sem_acquire"],
             "sem_post": counts["sem_release"],

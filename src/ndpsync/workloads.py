@@ -39,9 +39,6 @@ _LINE = 64
 # parameters that size a structure (an empty one has no key, node or slot to pick)
 _SIZE_PARAMS = ("buckets", "nodes", "slots")
 
-WORKLOAD_NAMES = ("lock", "barrier", "semaphore", "condvar",
-                  "stack", "queue", "array_map", "hash_table", "linked_list")
-
 
 def _canon_digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -457,6 +454,7 @@ class LinkedList(Workload):
 
 _REGISTRY = {w.name: w for w in (LockMicro, BarrierMicro, SemaphoreMicro, CondvarMicro,
                                  StackPush, QueuePop, ArrayMap, HashTable, LinkedList)}
+WORKLOAD_NAMES = tuple(_REGISTRY)
 
 
 def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:

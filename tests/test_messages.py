@@ -4,9 +4,11 @@ import time
 
 import pytest
 
-from ndpsync.messages import (MESSAGE_BYTES, CodecError, Message, OpClass,
-                              Opcode, classify_opcode, decode, encode,
-                              pack_core, unpack_core)
+from ndpsync import engine
+from ndpsync.messages import (ACTION, BARRIER, GLOBAL, GRANT, LEVEL, LOCAL,
+                              MESSAGE_BYTES, OVERFLOW, PRIMITIVE, SYNC_REQUESTS, WAIT,
+                              CodecError, Message, Opcode, decode, encode, pack_core,
+                              unpack_core)
 
 
 def oracle_encode(addr, opcode, core_id, info):
@@ -98,22 +100,55 @@ def test_decode_rejects_unknown_opcode():
 def test_opcode_table_is_complete():
     assert len(Opcode) == 38
     assert [int(op) for op in Opcode] == list(range(38))
-    # classification is total
-    for op in Opcode:
-        assert isinstance(classify_opcode(op), OpClass)
 
 
-def test_classification_spot_checks():
-    assert classify_opcode(Opcode.LOCK_ACQUIRE_GLOBAL) is OpClass.ACQUIRE
-    assert classify_opcode(Opcode.SEM_POST_LOCAL) is OpClass.RELEASE
-    assert classify_opcode(Opcode.COND_SIGNAL_GLOBAL) is OpClass.RELEASE
-    assert classify_opcode(Opcode.LOCK_GRANT_LOCAL) is OpClass.GRANT
-    assert classify_opcode(Opcode.BARRIER_DEPART_LOCAL) is OpClass.DEPART
-    assert classify_opcode(Opcode.BARRIER_WAIT_OVERFLOW) is OpClass.OVERFLOW_ACQUIRE
-    assert classify_opcode(Opcode.SEM_POST_OVERFLOW) is OpClass.OVERFLOW_RELEASE
-    # wake-direction overflow, barrier departure included
-    assert classify_opcode(Opcode.BARRIER_DEPARTURE_OVERFLOW) is OpClass.OVERFLOW_GRANT
-    assert classify_opcode(Opcode.DECREASE_INDEXING_COUNTER) is OpClass.CONTROL
+def test_each_opcode_has_exactly_one_level():
+    for table in (PRIMITIVE, ACTION, LEVEL):
+        assert set(table) == set(Opcode)
+    assert {LEVEL[op] for op in Opcode} == {LOCAL, GLOBAL, OVERFLOW}
+
+
+def test_only_the_counter_decrease_has_no_primitive():
+    assert [op for op in Opcode if PRIMITIVE[op] is None] == [Opcode.DECREASE_INDEXING_COUNTER]
+
+
+def test_irregular_barrier_names_parse():
+    for op in (Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT, Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS):
+        assert (PRIMITIVE[op], ACTION[op], LEVEL[op]) == (BARRIER, WAIT, LOCAL)
+    op = Opcode.BARRIER_DEPARTURE_OVERFLOW
+    assert (PRIMITIVE[op], ACTION[op], LEVEL[op]) == (BARRIER, GRANT, OVERFLOW)
+
+
+def test_sync_requests_are_the_local_and_global_acquires_and_releases():
+    O = Opcode
+    assert SYNC_REQUESTS == {
+        O.LOCK_ACQUIRE_GLOBAL, O.LOCK_ACQUIRE_LOCAL, O.LOCK_RELEASE_GLOBAL, O.LOCK_RELEASE_LOCAL,
+        O.BARRIER_WAIT_GLOBAL, O.BARRIER_WAIT_LOCAL_WITHIN_UNIT,
+        O.BARRIER_WAIT_LOCAL_ACROSS_UNITS,
+        O.SEM_WAIT_GLOBAL, O.SEM_WAIT_LOCAL, O.SEM_POST_GLOBAL, O.SEM_POST_LOCAL,
+        O.COND_WAIT_GLOBAL, O.COND_WAIT_LOCAL, O.COND_SIGNAL_GLOBAL, O.COND_SIGNAL_LOCAL,
+        O.COND_BROAD_GLOBAL, O.COND_BROAD_LOCAL}
+    assert len(SYNC_REQUESTS) == 17
+
+
+def test_each_client_request_has_its_overflow_form():
+    # a non-master redirects a client request by the same words at the OVERFLOW level
+    O = Opcode
+    expected = {
+        O.LOCK_ACQUIRE_LOCAL: O.LOCK_ACQUIRE_OVERFLOW,
+        O.LOCK_RELEASE_LOCAL: O.LOCK_RELEASE_OVERFLOW,
+        O.BARRIER_WAIT_LOCAL_WITHIN_UNIT: O.BARRIER_WAIT_OVERFLOW,
+        O.BARRIER_WAIT_LOCAL_ACROSS_UNITS: O.BARRIER_WAIT_OVERFLOW,
+        O.SEM_WAIT_LOCAL: O.SEM_WAIT_OVERFLOW,
+        O.SEM_POST_LOCAL: O.SEM_POST_OVERFLOW,
+        O.COND_WAIT_LOCAL: O.COND_WAIT_OVERFLOW,
+        O.COND_SIGNAL_LOCAL: O.COND_SIGNAL_OVERFLOW,
+        O.COND_BROAD_LOCAL: O.COND_BROAD_OVERFLOW,
+    }
+    assert engine._REDIRECTED == expected
+    for op, form in expected.items():
+        assert (PRIMITIVE[form], ACTION[form], LEVEL[form]) == \
+            (PRIMITIVE[op], ACTION[op], OVERFLOW)
 
 
 def test_pack_core_roundtrip():
