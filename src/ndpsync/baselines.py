@@ -66,7 +66,8 @@ class IdealOracle:
     method(core, addr, info) with the step's core node ("core", unit, local),
     address and info word, and returns True when the core keeps running.
     A core that does not parks and is released later through the wake
-    callback: wake(core, kind, addr, lock_addr).
+    callback, wake(core, kind, addr), where kind is the step kind the wake
+    completes and addr that step's address.
     """
 
     def __init__(self, wake):
@@ -94,10 +95,7 @@ class IdealOracle:
         if lock.waiters:
             nxt, cv = lock.waiters.popleft()
             lock.owner = nxt
-            if cv:
-                self._wake(nxt, "cond", cv, addr)
-            else:
-                self._wake(nxt, "lock", addr, 0)
+            self._wake(nxt, "cond_wait" if cv else "lock_acquire", cv or addr)
         else:
             lock.owner = None
             del self._locks[addr]
@@ -114,7 +112,7 @@ class IdealOracle:
             return False
         del self._barriers[addr]
         for other in arrived[:-1]:
-            self._wake(other, "barrier", addr, 0)
+            self._wake(other, "barrier_wait", addr)
         return True  # the last arrival proceeds directly
 
     # -- semaphores ------------------------------------------------------------
@@ -137,7 +135,7 @@ class IdealOracle:
         sem.count += 1
         while sem.count > 0 and sem.waiters:
             sem.count -= 1
-            self._wake(sem.waiters.popleft(), "sem", addr, 0)
+            self._wake(sem.waiters.popleft(), "sem_wait", addr)
         return True
 
     # -- condition variables ------------------------------------------------------
@@ -155,11 +153,11 @@ class IdealOracle:
         if not waiters:
             del self._conds[cv]
         if self.lock_acquire(waiter, lock_addr, cv):
-            self._wake(waiter, "cond", cv, lock_addr)
+            self._wake(waiter, "cond_wait", cv)
         return True
 
     def cond_broadcast(self, core: tuple, cv: int, info: int = 0) -> bool:
         for waiter, lock_addr in self._conds.pop(cv, ()):
             if self.lock_acquire(waiter, lock_addr, cv):
-                self._wake(waiter, "cond", cv, lock_addr)
+                self._wake(waiter, "cond_wait", cv)
         return True

@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .sim import LatencyModel, Simulation, Stats, write_trace_jsonl
-from .topology import MEMORY_TECHS, MIB, SCHEMES, SystemConfig
+from .sim import DRAM_PS, LatencyModel, Simulation, Stats, write_trace_jsonl
+from .topology import MIB, SCHEMES, SystemConfig
 from .verifier import verify_trace
 from .workloads import WORKLOAD_NAMES, check_workload, make_workload
 
@@ -72,7 +72,7 @@ _KNOBS = {
     "cores_per_unit": (int, None),
     "st_entries": (int, None),
     "link_latency_ns": (float, None),
-    "memory": (str, MEMORY_TECHS),
+    "memory": (str, tuple(DRAM_PS)),
     "seed": (int, None),
 }
 
@@ -116,7 +116,6 @@ class RunConfig:
             index_counters=self.index_counters,
             unit_mem_bytes=self.unit_mem_mib * MIB,
             scheme=self.scheme,
-            memory=self.memory,
             inbox_depth=self.inbox_depth,
         )
 
@@ -152,8 +151,9 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return flat
 
 
-def csv_row(index: int, rc: RunConfig, stats: Stats) -> dict:
-    flat = _flatten(stats_payload(rc, stats))
+def csv_row(index: int, payload: dict) -> dict:
+    """The stats.csv row of run `index` from its stats_payload()."""
+    flat = _flatten(payload)
     row = {"run": index}
     row.update((col, flat[key]) for col, key in _CSV_SOURCE.items())
     row["st_max_occupancy"] = max(row["st_max_occupancy"], default=0.0)
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         payloads.append(stats_payload(rc, stats))
-        rows.append(csv_row(index, rc, stats))
+        rows.append(csv_row(index, payloads[-1]))
         print(f"[{index}] {rc.scheme:8s} {rc.workload:12s} units={rc.units} "
               f"st={rc.st_entries} time={stats.time_ps / 1000.0:.1f} ns "
               f"ops={stats.completed_ops} "

@@ -41,11 +41,11 @@ from heapq import heappop, heappush
 from .baselines import IdealOracle, ServerCache
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
-from .messages import MESSAGE_BYTES, SYNC_REQUESTS, Message, Opcode, encode
+from .messages import (ACQUIRES, ACTION, GRANT, LEVEL, LOCAL, MESSAGE_BYTES, PRIMITIVE,
+                       SYNC_REQUESTS, Message, Opcode, encode)
 from .topology import SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
-SE_CYCLE_PS = 1_000
 SE_SERVICE_PS = 12_000
 L1_HIT_PS = 1_600
 
@@ -74,32 +74,26 @@ COORD_KEY_BASE = 1_000_000  # coordinator node keys sort after every core's
 
 _OPCODE_NAMES = tuple(op.name.lower() for op in Opcode)
 
-# blocked-request kind that each core-bound grant or departure completes
-_GRANT_KIND = {
-    Opcode.LOCK_GRANT_LOCAL: "lock",
-    Opcode.COND_GRANT_LOCAL: "cond",
-    Opcode.SEM_GRANT_LOCAL: "sem",
-    Opcode.BARRIER_DEPART_LOCAL: "barrier",
-}
-
 # Every synchronization step a workload yields, by the kind that Stats.ops
-# counts and IdealOracle names: the opcode of its request, the grant kind that
-# completes it if it blocks (None: the core runs on), and the trace records of
-# its issue and of its grant. A blocking step counts at its grant, any other
-# at its issue.
+# counts, IdealOracle names and a blocked core waits on: the opcode of its
+# request and the trace records of its issue and of its grant. A step blocks
+# exactly when its request's action is in ACQUIRES, and only those have a
+# grant record. A blocking step counts at its grant, any other at its issue.
 _REQUEST = {
-    "lock_acquire": (Opcode.LOCK_ACQUIRE_LOCAL, "lock", None, "cs_enter"),
-    "lock_release": (Opcode.LOCK_RELEASE_LOCAL, None, "cs_exit", None),
-    "barrier_wait": (Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS, "barrier",
-                     "barrier_arrive", "barrier_depart"),
-    "sem_wait": (Opcode.SEM_WAIT_LOCAL, "sem", None, "sem_acquire"),
-    "sem_post": (Opcode.SEM_POST_LOCAL, None, "sem_release", None),
-    "cond_wait": (Opcode.COND_WAIT_LOCAL, "cond", "cond_sleep", "cond_wake"),
-    "cond_signal": (Opcode.COND_SIGNAL_LOCAL, None, None, None),
-    "cond_broadcast": (Opcode.COND_BROAD_LOCAL, None, None, None),
+    "lock_acquire": (Opcode.LOCK_ACQUIRE_LOCAL, None, "cs_enter"),
+    "lock_release": (Opcode.LOCK_RELEASE_LOCAL, "cs_exit", None),
+    "barrier_wait": (Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS, "barrier_arrive", "barrier_depart"),
+    "sem_wait": (Opcode.SEM_WAIT_LOCAL, None, "sem_acquire"),
+    "sem_post": (Opcode.SEM_POST_LOCAL, "sem_release", None),
+    "cond_wait": (Opcode.COND_WAIT_LOCAL, "cond_sleep", "cond_wake"),
+    "cond_signal": (Opcode.COND_SIGNAL_LOCAL, None, None),
+    "cond_broadcast": (Opcode.COND_BROAD_LOCAL, None, None),
 }
-# grant kind -> (the step kind it completes, the trace record of the grant)
-_GRANTED = {grant: (kind, note) for kind, (_, grant, _, note) in _REQUEST.items() if grant}
+# the step kind that each core-bound grant completes: a primitive's local grant
+# (a barrier's departure) ends its one blocking step
+_GRANT_KIND = {op: kind for op in Opcode if ACTION[op] == GRANT and LEVEL[op] == LOCAL
+               for kind, (req, _, _) in _REQUEST.items()
+               if ACTION[req] in ACQUIRES and PRIMITIVE[req] == PRIMITIVE[op]}
 
 
 @dataclass
@@ -374,7 +368,7 @@ class _Core:
 
     def __init__(self, node, gen, key: int, wire_id: int, dst):
         self.gen = gen
-        self.blocked = None  # the pending blocking request; None while running or finished
+        self.blocked = None  # pending step (kind, addr, info); None while running or finished
         self.node = node
         self.key = key
         self.wire_id = wire_id  # core id on this core's requests
@@ -405,7 +399,7 @@ class Simulation:
                  trace: bool = False):
         self.cfg = cfg
         self.workload = workload
-        self.lat = latency or LatencyModel.create(cfg.memory)
+        self.lat = latency or LatencyModel.create()
         self.en = EnergyModel()
         self.stats = Stats(self.en)
         self.network = Network(cfg, self.lat, self.stats)
@@ -521,12 +515,12 @@ class Simulation:
             b = crt.blocked
             if b is not None:
                 crt.blocked = None
-                kind, note = _GRANTED[b[0]]
+                kind = b[0]
                 self.stats.ops[kind] += 1
                 if tracing:
                     if kind == "cond_wait":  # the waiter wakes holding its lock again
                         self._trace(t, "cs_enter", unit, local, b[2])
-                    self._trace(t, note, unit, local, *b[1:])
+                    self._trace(t, _REQUEST[kind][2], unit, local, *b[1:])
             try:
                 step = next(crt.gen)
             except StopIteration:
@@ -559,17 +553,15 @@ class Simulation:
         """
         kind = step[0]
         try:
-            opc, grant, note, _ = _REQUEST[kind]
+            opc, note, granted = _REQUEST[kind]
         except KeyError:
             raise ProtocolError(f"unknown workload step {kind!r}") from None
         addr = step[1]
         info = step[2] if len(step) > 2 else 0
-        if grant is None:
+        if granted is None:
             self.stats.ops[kind] += 1
-        elif grant == "sem" or grant == "cond":
-            crt.blocked = (grant, addr, info)  # the grant's trace carries the info
-        else:
-            crt.blocked = (grant, addr)
+        else:  # a barrier's participant count is not traced
+            crt.blocked = (kind, addr, 0 if kind == "barrier_wait" else info)
         if kind == "cond_wait":
             self.stats.ops["lock_release"] += 1  # the wait releases its lock
         if note is not None and self.trace_enabled:
@@ -585,7 +577,7 @@ class Simulation:
             opc = Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
         dst = crt.dst or self.coords[master_se_of(self.cfg, addr)].node
         self._send(crt.node, dst, Message(addr, opc, crt.wire_id, info), t)
-        return grant is None
+        return granted is None
 
     # -- coordinators --------------------------------------------------------------------
 
@@ -687,10 +679,7 @@ class Simulation:
 
     # -- oracle ------------------------------------------------------------------------------
 
-    def _oracle_wake(self, node, kind: str, addr: int, lock: int) -> None:
-        """Oracle wake callback: the grant reaches the core as a message would.
-
-        A cond wake's lock is the one the core named in its wait, which
-        crt.blocked already holds.
-        """
+    def _oracle_wake(self, node, kind: str, addr: int) -> None:
+        """Oracle wake callback: the grant of the core's pending `kind` step
+        on `addr` reaches it as a message would."""
         self._push(self.now, MSG, self._at[node].key, node, ("wake", kind, addr))

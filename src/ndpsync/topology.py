@@ -32,7 +32,6 @@ SCHEME_AXES = {
     "ideal": (None, None),
 }
 SCHEMES = tuple(SCHEME_AXES)
-MEMORY_TECHS = ("hbm", "hmc", "ddr4")
 
 
 @dataclass
@@ -50,7 +49,6 @@ class SystemConfig:
     index_counters: int = 256
     unit_mem_bytes: int = 1024 * MIB
     scheme: str = "syncron"
-    memory: str = "hbm"
     inbox_depth: int = 16
 
     def __post_init__(self):
@@ -60,8 +58,6 @@ class SystemConfig:
         self.route, service = SCHEME_AXES[self.scheme]
         self.server = service == "server"
         self.one_master = self.route == "direct" and self.server
-        if self.memory not in MEMORY_TECHS:
-            raise ConfigError(f"unknown memory tech {self.memory!r}, expected one of {MEMORY_TECHS}")
         if self.num_units < 1:
             raise ConfigError("num_units must be >= 1")
         if self.cores_per_unit < 1:

@@ -14,8 +14,9 @@ A program is a generator yielding steps:
     ("cond_broadcast", cv)
 
 The eight synchronization kinds are those of sim._REQUEST, Stats.ops and
-IdealOracle's methods; a step's third field, when it has one, is the info
-word its request carries.
+IdealOracle's methods, and name a blocked core's pending request and the
+grant or oracle wake that ends it; a step's third field, when it has one, is
+the info word its request carries.
 
 Shared workload state is mutated inside critical sections, so the final
 state is a function of the set of executed operations, not their
@@ -55,6 +56,7 @@ class Workload:
     name = "base"
     defaults: dict[str, int] = {}
     client_params: tuple[str, ...] = ()  # parameters that count clients: 1..total_clients
+    ops_param: str | None = None  # parameter counting each client's lock acquire/release pairs
 
     def __init__(self, cfg: SystemConfig, seed: int, params: dict | None = None):
         self.cfg = cfg
@@ -90,8 +92,12 @@ class Workload:
         raise NotImplementedError
 
     def expected_ops(self) -> dict | None:
-        """Declared operation totals for the termination monitor, if static."""
-        return None
+        """Declared operation totals for the termination monitor, if static:
+        with an ops_param, every client takes and releases a lock that often."""
+        if self.ops_param is None:
+            return None
+        n = self.cfg.total_clients * getattr(self, self.ops_param)
+        return {"lock_acquire": n, "lock_release": n}
 
     # -- addressing -----------------------------------------------------------
 
@@ -100,6 +106,11 @@ class Workload:
 
     def _data_addr(self, unit: int, slot: int) -> int:
         return unit * self.cfg.unit_mem_bytes + _DATA_REGION + slot * _LINE
+
+    def _striped_addr(self, i: int, first: int = 0) -> int:
+        """Data line of element i, striped over the units from data slot `first`."""
+        units = self.cfg.num_units
+        return self._data_addr(i % units, first + i // units)
 
     def _rng(self, idx: int) -> random.Random:
         return random.Random(self.seed * 1_000_003 + idx)
@@ -110,6 +121,7 @@ class LockMicro(Workload):
 
     name = "lock"
     defaults = {"iterations": 50, "interval": 200, "cs_instr": 0}
+    ops_param = "iterations"
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
@@ -128,10 +140,6 @@ class LockMicro(Workload):
 
     def digest(self):
         return _canon_digest({"workload": self.name, "grants": self.grants})
-
-    def expected_ops(self):
-        n = self.cfg.total_clients * self.iterations
-        return {"lock_acquire": n, "lock_release": n}
 
 
 class BarrierMicro(Workload):
@@ -246,6 +254,7 @@ class StackPush(Workload):
 
     name = "stack"
     defaults = {"ops_per_core": 20, "gap": 150}
+    ops_param = "ops_per_core"
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
@@ -256,18 +265,14 @@ class StackPush(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
-        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _slot_addr(last)
-
-    def _slot_addr(self, slot: int) -> int:
-        u = slot % self.cfg.num_units
-        return self._data_addr(u, 1 + slot // self.cfg.num_units)
+        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _striped_addr(last, 1)
 
     def _program(self, idx):
         for k in range(self.ops_per_core):
             yield ("compute", self.gap)
             yield ("lock_acquire", self.lock)
             slot = len(self.items)
-            yield ("mem", self._slot_addr(slot), True)
+            yield ("mem", self._striped_addr(slot, 1), True)
             yield ("mem", self.head_addr, True)
             self.items.append([idx, k])
             yield ("lock_release", self.lock)
@@ -277,16 +282,13 @@ class StackPush(Workload):
         return _canon_digest({"workload": self.name, "size": len(self.items),
                               "items": sorted(self.items)})
 
-    def expected_ops(self):
-        n = self.cfg.total_clients * self.ops_per_core
-        return {"lock_acquire": n, "lock_release": n}
-
 
 class QueuePop(Workload):
     """Clients drain a pre-filled queue under a head lock."""
 
     name = "queue"
     defaults = {"ops_per_core": 20, "gap": 150}
+    ops_param = "ops_per_core"
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
@@ -299,18 +301,14 @@ class QueuePop(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
-        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _elem_addr(last)
-
-    def _elem_addr(self, i: int) -> int:
-        u = i % self.cfg.num_units
-        return self._data_addr(u, 1 + i // self.cfg.num_units)
+        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _striped_addr(last, 1)
 
     def _program(self, idx):
         for _ in range(self.ops_per_core):
             yield ("compute", self.gap)
             yield ("lock_acquire", self.head_lock)
             i = self.head
-            yield ("mem", self._elem_addr(i), False)
+            yield ("mem", self._striped_addr(i, 1), False)
             yield ("mem", self.head_ptr_addr, True)
             self.head += 1
             yield ("lock_release", self.head_lock)
@@ -320,16 +318,13 @@ class QueuePop(Workload):
         return _canon_digest({"workload": self.name, "head": self.head,
                               "remaining": self.values[self.head:]})
 
-    def expected_ops(self):
-        n = self.cfg.total_clients * self.ops_per_core
-        return {"lock_acquire": n, "lock_release": n}
-
 
 class ArrayMap(Workload):
     """Fixed-size map under one coarse lock; long critical sections."""
 
     name = "array_map"
     defaults = {"ops_per_core": 20, "gap": 150, "cs_accesses": 10, "slots": 64}
+    ops_param = "ops_per_core"
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
@@ -339,11 +334,7 @@ class ArrayMap(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cls._resolve(params)["slots"] - 1
-        return _DATA_REGION + (last // cfg.num_units) * _LINE  # _slot_addr(last)
-
-    def _slot_addr(self, s: int) -> int:
-        u = s % self.cfg.num_units
-        return self._data_addr(u, s // self.cfg.num_units)
+        return _DATA_REGION + (last // cfg.num_units) * _LINE  # _striped_addr(last)
 
     def _program(self, idx):
         rng = self._rng(idx)
@@ -352,7 +343,7 @@ class ArrayMap(Workload):
             key = rng.randrange(self.slots)
             yield ("lock_acquire", self.lock)
             for j in range(self.cs_accesses):
-                yield ("mem", self._slot_addr((key + j) % self.slots), j == 0)
+                yield ("mem", self._striped_addr((key + j) % self.slots), j == 0)
             self.cells[key] += 1
             yield ("lock_release", self.lock)
             self.completed_ops += 1
@@ -360,16 +351,13 @@ class ArrayMap(Workload):
     def digest(self):
         return _canon_digest({"workload": self.name, "cells": self.cells})
 
-    def expected_ops(self):
-        n = self.cfg.total_clients * self.ops_per_core
-        return {"lock_acquire": n, "lock_release": n}
-
 
 class HashTable(Workload):
     """Per-bucket locks spread across the units; fine-grained inserts."""
 
     name = "hash_table"
     defaults = {"ops_per_core": 20, "gap": 150, "buckets": 64}
+    ops_param = "ops_per_core"
 
     def __init__(self, cfg, seed, params=None):
         super().__init__(cfg, seed, params)
@@ -404,10 +392,6 @@ class HashTable(Workload):
     def digest(self):
         return _canon_digest({"workload": self.name,
                               "chains": [sorted(c) for c in self.chains]})
-
-    def expected_ops(self):
-        n = self.cfg.total_clients * self.ops_per_core
-        return {"lock_acquire": n, "lock_release": n}
 
 
 class LinkedList(Workload):

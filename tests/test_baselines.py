@@ -46,7 +46,14 @@ def test_cache_never_exceeds_capacity():
 
 def oracle_with_log():
     wakes = []
-    return IdealOracle(lambda core, kind, addr, lock: wakes.append((core, kind, addr, lock))), wakes
+    return IdealOracle(lambda core, kind, addr: wakes.append((core, kind, addr))), wakes
+
+
+def assert_owns(o, owner, other, lock):
+    """`owner` holds `lock`: a non-owner's release raises, the owner's frees it."""
+    with pytest.raises(ProtocolError, match="released by non-owner"):
+        o.lock_release(other, lock)
+    assert o.lock_release(owner, lock)
 
 
 def test_ideal_lock_fifo_handoff():
@@ -56,9 +63,10 @@ def test_ideal_lock_fifo_handoff():
     assert not o.lock_acquire(b, 64)
     assert not o.lock_acquire(c, 64)
     o.lock_release(a, 64)
-    o.lock_release(b, 64)
-    o.lock_release(c, 64)
-    assert wakes == [(b, "lock", 64, 0), (c, "lock", 64, 0)]
+    assert wakes == [(b, "lock_acquire", 64)]
+    assert_owns(o, b, a, 64)
+    assert wakes == [(b, "lock_acquire", 64), (c, "lock_acquire", 64)]
+    assert_owns(o, c, b, 64)
 
 
 def test_ideal_lock_release_by_non_owner_rejected():
@@ -76,7 +84,7 @@ def test_ideal_barrier_last_arrival_proceeds():
     assert not o.barrier_wait(cores[0], 64, 3)
     assert not o.barrier_wait(cores[1], 64, 3)
     assert o.barrier_wait(cores[2], 64, 3)
-    assert wakes == [(cores[0], "barrier", 64, 0), (cores[1], "barrier", 64, 0)]
+    assert wakes == [(cores[0], "barrier_wait", 64), (cores[1], "barrier_wait", 64)]
     # a second episode starts fresh
     assert not o.barrier_wait(cores[0], 64, 3)
 
@@ -95,7 +103,7 @@ def test_ideal_semaphore_counts_and_parks():
     assert o.sem_wait(b, 64, 2)
     assert not o.sem_wait(c, 64, 2)  # resources exhausted
     o.sem_post(a, 64)
-    assert wakes == [(c, "sem", 64, 0)]
+    assert wakes == [(c, "sem_wait", 64)]
     with pytest.raises(ProtocolError):
         o.sem_wait(a, 64, 3)  # re-declaration
 
@@ -109,8 +117,8 @@ def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
     o.cond_signal(s, 64)             # w must wait for the lock
     assert wakes == []
     o.lock_release(s, 128)           # handoff wakes w holding the lock
-    assert wakes == [(w, "cond", 64, 128)]
-    o.lock_release(w, 128)
+    assert wakes == [(w, "cond_wait", 64)]
+    assert_owns(o, w, s, 128)
 
 
 def test_ideal_cond_signal_on_free_lock_wakes_immediately():
@@ -119,8 +127,8 @@ def test_ideal_cond_signal_on_free_lock_wakes_immediately():
     o.lock_acquire(w, 128)
     o.cond_wait(w, 64, 128)
     o.cond_signal(s, 64)
-    assert wakes == [(w, "cond", 64, 128)]
-    o.lock_release(w, 128)
+    assert wakes == [(w, "cond_wait", 64)]
+    assert_owns(o, w, s, 128)
 
 
 def test_ideal_lost_signal_is_absorbed():
@@ -143,10 +151,11 @@ def test_ideal_broadcast_wakes_all():
     o.lock_release(cores[2], 128)
     wakes.clear()
     o.cond_broadcast(cores[2], 64)
-    assert (cores[0], "cond", 64, 128) in wakes  # first waiter got the free lock
-    o.lock_release(cores[0], 128)
-    assert (cores[1], "cond", 64, 128) in wakes  # second resumed on handoff
-    o.lock_release(cores[1], 128)
+    assert wakes == [(cores[0], "cond_wait", 64)]  # first waiter got the free lock
+    assert_owns(o, cores[0], cores[1], 128)
+    # second resumed on handoff
+    assert wakes == [(cores[0], "cond_wait", 64), (cores[1], "cond_wait", 64)]
+    assert_owns(o, cores[1], cores[2], 128)
 
 
 # -- ideal scheme end-to-end ----------------------------------------------------

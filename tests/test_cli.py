@@ -241,8 +241,10 @@ def test_bad_sweep_exits_2(tmp_path):
     ("[DEFAULT]\nseed = 1\n", "unknown section [DEFAULT]"),
     ("[workload]\nname = lock\niteration = 3\n", "'lock' takes no parameter iteration"),
     ("[workload]\nname = lock\nparticipants = 2\n", "'lock' takes no parameter participants"),
+    ("[system]\nmemory = sram\n", "unknown memory technology 'sram'"),
 ], ids=["no-section-header", "duplicate-key", "unknown-key", "unknown-section",
-        "default-key", "unknown-workload-param", "client-param-of-other-workload"])
+        "default-key", "unknown-workload-param", "client-param-of-other-workload",
+        "unknown-memory"])
 def test_bad_config_file_exits_2_before_first_run(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
     ini.write_text(body)

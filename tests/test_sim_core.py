@@ -6,7 +6,7 @@ import pytest
 import ndpsync.sim as sim_module
 from ndpsync.baselines import IdealOracle
 from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
-from ndpsync.messages import Message, Opcode
+from ndpsync.messages import ACQUIRES, ACTION, Message, Opcode
 from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_PS, SERVICE,
                          EnergyModel, LatencyModel, Network, Simulation, Stats)
 from ndpsync.topology import SystemConfig
@@ -295,10 +295,10 @@ def test_deadlock_detector_names_blocked_cores():
         sim.run()
     assert dropped == [("core", 0, 0)]
     waiters = [("core", 0, 0), ("core", 0, 1), ("core", 1, 0)]
-    assert err.value.blocked == [(node, ("lock", 64)) for node in waiters]
+    assert err.value.blocked == [(node, ("lock_acquire", 64, 0)) for node in waiters]
     assert str(err.value) == (
-        "event queue drained with 3 cores incomplete: ('core', 0, 0):('lock', 64), "
-        "('core', 0, 1):('lock', 64), ('core', 1, 0):('lock', 64)")
+        "event queue drained with 3 cores incomplete: ('core', 0, 0):('lock_acquire', 64, 0), "
+        "('core', 0, 1):('lock_acquire', 64, 0), ('core', 1, 0):('lock_acquire', 64, 0)")
 
 
 def test_grant_to_a_core_not_waiting_for_it_is_a_protocol_error():
@@ -407,6 +407,32 @@ def test_requests_stats_and_oracle_name_the_same_step_kinds():
               if callable(fn) and not name.startswith("_")}
     assert list(Stats().ops) == list(sim_module._REQUEST)
     assert set(sim_module._REQUEST) == oracle and len(oracle) == 8
+
+
+def test_each_local_grant_completes_its_primitives_blocking_step():
+    assert sim_module._GRANT_KIND == {
+        Opcode.LOCK_GRANT_LOCAL: "lock_acquire",
+        Opcode.BARRIER_DEPART_LOCAL: "barrier_wait",
+        Opcode.SEM_GRANT_LOCAL: "sem_wait",
+        Opcode.COND_GRANT_LOCAL: "cond_wait",
+    }
+
+
+def test_a_step_blocks_exactly_when_its_request_is_an_acquire():
+    blocking = {kind for kind, (_, _, granted) in sim_module._REQUEST.items() if granted}
+    acquires = {kind for kind, (opc, _, _) in sim_module._REQUEST.items()
+                if ACTION[opc] in ACQUIRES}
+    assert blocking == acquires == {"lock_acquire", "barrier_wait", "sem_wait", "cond_wait"}
+
+
+def test_oracle_wake_for_another_step_is_a_protocol_error():
+    sim = tiny_sim(scheme="ideal", steps={0: [("lock_acquire", 64)]})
+    core = ("core", 0, 0)
+    sim._at[core].blocked = ("sem_wait", 64, 0)
+    with pytest.raises(ProtocolError) as err:
+        sim._on_msg(core, ("wake", "lock_acquire", 64), 0)
+    assert str(err.value) == ("wake lock_acquire(0x40) does not match pending "
+                              "('sem_wait', 64, 0) at ('core', 0, 0)")
 
 
 def test_unknown_step_kind_rejected():

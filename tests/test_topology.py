@@ -48,7 +48,6 @@ def test_clients_per_unit_uniform_across_schemes():
 def test_validation_errors():
     for kwargs in (
         {"scheme": "magic"},
-        {"memory": "sram"},
         {"num_units": 0},
         {"cores_per_unit": 0},
         {"st_entries": 0},
