@@ -28,6 +28,11 @@ the unit (GLOBAL), or another unit's core by its packed {unit, core} id
 back by the same level. A variable's one VarMeta (an entry, a server's state,
 or a record: `in_memory`) is looked up once per message, checked against the
 primitive the opcode acts on, and passed along.
+
+One liveness rule: a VarMeta lives exactly while its variable is busy (a
+waiter at any level, an owner, a barrier arrival, or a semaphore count off its
+declared value, 0 while undeclared). Handlers never drop it; the end of
+_handle_inner retires an idle one, freeing its entry or ending its episode.
 """
 
 from __future__ import annotations
@@ -175,19 +180,16 @@ class Coordinator:
         meta = self.meta[addr] = VarMeta(primitive)
         return meta, True
 
-    def _release_var(self, addr: int, meta: VarMeta, out: Output) -> None:
+    def _retire(self, addr: int, meta: VarMeta, out: Output) -> None:
+        """Drop an idle variable's state: free its table entry or end its memory episode."""
         if meta.in_memory:
-            return  # the memory-path epilogue drops a record once quiescent
-        if meta.locals or meta.remote_agg or meta.sem_demand:
-            raise ProtocolError(f"release of variable {addr:#x} with waiters pending")
-        if not self.server:
+            self.counters.decrement(addr)
+            for u in _bits(meta.ovf_units):
+                self._to_unit(out, u, addr, Opcode.DECREASE_INDEXING_COUNTER, 0)
+        elif not self.server:
             self.table.release(addr)
             out.table_events.append(("st_release", addr))
         del self.meta[addr]
-
-    def _release_if_quiesced(self, addr: int, meta: VarMeta, out: Output) -> None:
-        if self._quiesced(meta):
-            self._release_var(addr, meta, out)
 
     # -- waiter order --------------------------------------------------------------
 
@@ -276,27 +278,32 @@ class Coordinator:
 
         if op in _OVERFLOW_REQUESTS:
             if self.server or not self.is_master_for(addr):
-                raise ProtocolError(f"{op.name} delivered to a non-master coordinator")
+                where = ("a coordinator with no memory path" if self.server
+                         else "a non-master coordinator")
+                raise ProtocolError(f"{op.name} delivered to {where}")
+            meta = self._memory_path(msg, meta, out)
+        elif meta is not None and meta.in_memory:
             self._memory_path(msg, meta, out)
-            return
-        if meta is not None and meta.in_memory:
-            self._memory_path(msg, meta, out)
-            return
-
-        if (meta is None and not self.server
-                and op in SYNC_REQUESTS
-                and (self.table.full() or self.counters.get(addr) > 0)):
-            if self.is_master_for(addr):
-                self._memory_path(msg, None, out)
-            else:
+        elif (meta is None and not self.server and op in SYNC_REQUESTS
+              and (self.table.full() or self.counters.get(addr) > 0)):
+            if not self.is_master_for(addr):
                 self._redirect(msg, out)
-            return
+                return
+            meta = self._memory_path(msg, None, out)
+        else:
+            _HANDLER[op](self, msg, meta, out)
+            if self.server:
+                # the lock line released by a cond wait is recorded by its own
+                # inner dispatch, so one touch per dispatched message suffices
+                out.touches.append(addr)
+            if meta is None:
+                meta = self.meta.get(addr)
 
-        _HANDLER[op](self, msg, meta, out)
-        if self.server:
-            # the lock line released by a cond wait is recorded by its own
-            # inner dispatch, so one touch per dispatched message suffices
-            out.touches.append(addr)
+        # the one liveness rule: a variable's state lives exactly while it is busy
+        if meta is not None and not (meta.owner is not None or meta.locals or meta.remote_agg
+                                     or meta.remote_ovf or meta.arrivals or meta.sem_demand
+                                     or meta.sem_count != (meta.sem_declared or 0)):
+            self._retire(addr, meta, out)
 
     def _not_served(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         raise ProtocolError(f"opcode {msg.opcode.name} not valid at a coordinator")
@@ -348,15 +355,16 @@ class Coordinator:
         else:
             self._start_resume(local, addr, msg.info, out)
 
-    def _memory_path(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
-        """Master services the variable, `meta` if live, from its local memory."""
+    def _memory_path(self, msg: Message, meta: VarMeta | None, out: Output) -> VarMeta | None:
+        """Master services the variable, `meta` if live, from its local memory.
+        Returns its record, or None for a lost signal, which writes nothing."""
         addr = msg.addr
         op = msg.opcode
         out.overflowed = True
         out.mem_ops.append(("read", addr))
         if meta is None:
             if op in _SIGNALS:
-                return  # lost signal: nothing parked anywhere
+                return None  # lost signal: nothing parked anywhere
             if op in _UNLOCKS:
                 raise ProtocolError(f"lock release for unknown variable {addr:#x}")
             meta = self.meta[addr] = VarMeta(PRIMITIVE[op], in_memory=True)
@@ -372,24 +380,8 @@ class Coordinator:
             meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
 
         _HANDLER[op](self, msg, meta, out)
-
-        if self._quiesced(meta):
-            self.counters.decrement(addr)
-            for u in _bits(meta.ovf_units):
-                self._to_unit(out, u, addr, Opcode.DECREASE_INDEXING_COUNTER, 0)
-            del self.meta[addr]
         out.mem_ops.append(("write", addr))
-
-    def _quiesced(self, meta: VarMeta) -> bool:
-        if meta.locals or meta.remote_agg or meta.sem_demand or meta.owner is not None:
-            return False
-        if meta.remote_ovf or meta.arrivals:
-            return False
-        if meta.primitive == SEMAPHORE:
-            if meta.sem_declared is None:
-                return meta.sem_count == 0
-            return meta.sem_count == meta.sem_declared
-        return True
+        return meta
 
     # -- locks -------------------------------------------------------------------
 
@@ -445,12 +437,10 @@ class Coordinator:
         self._lock_next(addr, meta, out)
 
     def _lock_next(self, addr: int, meta: VarMeta, out: Output) -> None:
-        """Hand the lock to the next waiter, or free the variable if none waits.
-        A non-master has local waiters only."""
+        """Hand the lock to the next waiter, if one waits; a non-master has
+        local waiters only. With none, the lock is left without an owner."""
         meta.owner = waiter = self._pop_waiter(meta)
-        if waiter is None:
-            self._release_var(addr, meta, out)
-        else:
+        if waiter is not None:
             self._grant_lock(out, waiter[0], waiter[1], addr)
 
     # -- barriers ------------------------------------------------------------------
@@ -492,14 +482,12 @@ class Coordinator:
         meta.remote_ovf = 0
         self._barrier_depart_locals(addr, meta, out)
         meta.arrivals = 0
-        self._release_var(addr, meta, out)
 
     def _barrier_depart_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         if meta is None:
             raise ProtocolError(f"barrier departure for unknown variable {addr:#x}")
         self._barrier_depart_locals(addr, meta, out)
-        self._release_var(addr, meta, out)
 
     def _barrier_target(self, meta: VarMeta, info: int) -> None:
         if meta.target == 0:
@@ -560,8 +548,6 @@ class Coordinator:
                                 f"the {meta.locals.bit_count()} parked waiters")
         for _ in range(msg.info):
             self._send(out, LOCAL, self._pop_local(meta), addr, Opcode.SEM_GRANT_LOCAL)
-        if not meta.locals:
-            self._release_var(addr, meta, out)
 
     def _sem_drain(self, addr: int, meta: VarMeta, out: Output) -> None:
         """Master: spend the count on waiters, locals first, then in
@@ -583,7 +569,6 @@ class Coordinator:
                 else:
                     meta.sem_demand[agg] -= batch
                 self._send(out, GLOBAL, agg, addr, Opcode.SEM_GRANT_GLOBAL, batch)
-        self._release_if_quiesced(addr, meta, out)
 
     # -- condition variables -----------------------------------------------------------
 
@@ -613,7 +598,6 @@ class Coordinator:
             self._send(out, GLOBAL, who, addr, Opcode.COND_GRANT_GLOBAL, 1)
         else:
             self._send(out, OVERFLOW, who, addr, Opcode.COND_GRANT_OVERFLOW, meta.cond_lock)
-        self._release_if_quiesced(addr, meta, out)
 
     def _cond_broadcast(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake every waiter: local cores, then overflow cores, then units."""
@@ -631,7 +615,6 @@ class Coordinator:
         for u in _bits(meta.remote_agg):
             self._send(out, GLOBAL, u, addr, Opcode.COND_GRANT_GLOBAL, WAKE_ALL)
         meta.remote_agg = 0
-        self._release_if_quiesced(addr, meta, out)
 
     def _cond_grant_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
@@ -643,8 +626,6 @@ class Coordinator:
         if meta.locals:
             # still parked waiters: announce again
             self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, meta.cond_lock)
-        else:
-            self._release_var(addr, meta, out)
 
     def _cond_lock_set(self, meta: VarMeta, lock_addr: int) -> None:
         if meta.cond_lock == 0:

@@ -1,12 +1,13 @@
 import pytest
 
-from ndpsync.engine import WAKE_ALL, Coordinator, Output
+from ndpsync.cli import RunConfig, run_once
+from ndpsync.engine import WAKE_ALL, Coordinator
 from ndpsync.errors import ProtocolError
-from ndpsync.messages import Message, Opcode
+from ndpsync.messages import LOCAL, Message, Opcode
 from ndpsync.sim import Simulation
-from ndpsync.topology import SystemConfig
+from ndpsync.topology import SCHEMES, SystemConfig
 from ndpsync.verifier import verify_trace
-from ndpsync.workloads import make_workload
+from ndpsync.workloads import WORKLOAD_NAMES, make_workload
 from script_workload import Script
 
 
@@ -255,13 +256,21 @@ def test_request_for_another_primitive_rejected_before_any_change():
 
 @pytest.mark.parametrize("scheme", ["syncron", "hier"])
 def test_release_with_parked_waiter_rejected(scheme):
-    # a table- or server-backed variable must not be freed while a core waits on it
+    # a table- or server-backed variable is not freed while a core waits on it:
+    # the owner's release hands it to the parked core, whose release frees it
     cfg = SystemConfig(num_units=1, cores_per_unit=3, scheme=scheme)
     coord = Coordinator(cfg, 0)
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0))
-    with pytest.raises(ProtocolError):
-        coord._release_var(64, coord.meta[64], Output())
+    out = coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 0, 0))
+    assert out.sends == [(("core", 0, 1), Message(64, Opcode.LOCK_GRANT_LOCAL, 1, 0))]
+    assert out.table_events == [] and coord.meta[64].owner == (LOCAL, 1)
+    if scheme == "syncron":
+        assert coord.table.occupied_count == 1
+    out = coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
+    assert out.sends == [] and coord.meta == {}
+    if scheme == "syncron":
+        assert out.table_events == [("st_release", 64)] and coord.table.occupied_count == 0
 
 
 def test_grant_goes_local_first_then_ascending_units():
@@ -625,3 +634,104 @@ def test_cond_wait_requires_lock_address():
     coord = Coordinator(cfg, 0)
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.COND_WAIT_LOCAL, 0, 0))
+
+
+def test_lost_signal_on_the_memory_path_reads_the_record_and_writes_nothing():
+    # the one table entry holds L, so the master looks for CV's record in memory
+    cfg = SystemConfig(num_units=1, cores_per_unit=3, st_entries=1)
+    coord = Coordinator(cfg, 0)
+    CV, L = 0x40, 0x80
+    coord.handle(Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
+    out = coord.handle(Message(CV, Opcode.COND_SIGNAL_LOCAL, 1, 0))
+    assert out.overflowed and out.mem_ops == [("read", CV)]
+    assert (out.sends, out.table_events) == ([], []) and list(coord.meta) == [L]
+    assert coord.counters.total() == 0
+
+
+# -- error branches no workload reaches -----------------------------------------------
+
+
+def coordinator(unit, scheme="syncron", **cfg_kw):
+    """Unit `unit` of a 2x3 system; 0x40 is mastered by unit 0, and core
+    (1, 1)'s packed id is 1 << 2 | 1."""
+    return Coordinator(SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme, **cfg_kw), unit)
+
+
+def test_overflow_request_off_the_memory_path_rejected():
+    overflow = Message(0x40, Opcode.LOCK_ACQUIRE_OVERFLOW, 1 << 2 | 1, 0)
+    with pytest.raises(ProtocolError,
+                       match="^LOCK_ACQUIRE_OVERFLOW delivered to a non-master coordinator$"):
+        coordinator(1).handle(overflow)
+    # a server has no table to overflow, even at the variable's master
+    with pytest.raises(ProtocolError, match="^LOCK_ACQUIRE_OVERFLOW delivered to a coordinator "
+                                            "with no memory path$"):
+        coordinator(0, scheme="hier").handle(overflow)
+
+
+def test_core_bound_grant_rejected_at_a_coordinator():
+    with pytest.raises(ProtocolError, match="^opcode LOCK_GRANT_LOCAL not valid at a coordinator$"):
+        coordinator(0).handle(Message(0x40, Opcode.LOCK_GRANT_LOCAL, 0, 0))
+
+
+def test_overflow_grant_for_another_units_core_rejected():
+    with pytest.raises(ProtocolError,
+                       match="^SEM_GRANT_OVERFLOW routed to unit 1 for core of unit 0$"):
+        coordinator(1).handle(Message(0x40, Opcode.SEM_GRANT_OVERFLOW, 0 << 2 | 1, 0))
+
+
+def test_lock_release_for_unknown_variable_on_the_memory_path_rejected():
+    coord = coordinator(0, st_entries=1)
+    coord.handle(Message(0x80, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))  # fills the table
+    with pytest.raises(ProtocolError, match="^lock release for unknown variable 0x40$"):
+        coord.handle(Message(0x40, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
+    assert list(coord.meta) == [0x80] and coord.counters.total() == 0
+
+
+@pytest.mark.parametrize("grant, error", [
+    (Message(0x40, Opcode.BARRIER_DEPART_GLOBAL, 0, 0),
+     "barrier departure for unknown variable 0x40"),
+    (Message(0x40, Opcode.SEM_GRANT_GLOBAL, 0, 1), "semaphore grant for unknown variable 0x40"),
+    (Message(0x40, Opcode.COND_GRANT_GLOBAL, 0, 1), "condvar wake for 0x40 with no parked waiter"),
+    (Message(0x40, Opcode.COND_GRANT_OVERFLOW, 1 << 2 | 1, 0),
+     "condvar 0x40 woken without an associated lock"),
+], ids=["barrier-depart", "sem-grant", "cond-grant", "cond-grant-overflow"])
+def test_grant_with_nothing_to_wake_rejected(grant, error):
+    coord = coordinator(1)
+    with pytest.raises(ProtocolError, match=f"^{error}$"):
+        coord.handle(grant)
+    assert coord.meta == {}
+
+
+# -- liveness: a variable's state lives exactly while it is busy ------------------------
+
+
+def busy(meta):
+    """A waiter at any level, an owner, a barrier arrival, or a semaphore
+    count off its declared value (0 while undeclared)."""
+    return bool(meta.owner is not None or meta.locals or meta.remote_agg or meta.remote_ovf
+                or meta.arrivals or meta.sem_demand
+                or meta.sem_count != (meta.sem_declared or 0))
+
+
+@pytest.mark.parametrize("units, st_entries", [(2, 1), (2, 64), (4, 1)])
+def test_every_live_variable_is_busy_and_every_entry_is_live(monkeypatch, units, st_entries):
+    handle = Coordinator.handle
+
+    def checked(coord, msg):
+        out = handle(coord, msg)
+        idle = [hex(addr) for addr, meta in coord.meta.items() if not busy(meta)]
+        assert not idle, (coord.unit, msg, idle)
+        if coord.table is not None:
+            in_table = sum(not meta.in_memory for meta in coord.meta.values())
+            assert coord.table.occupied_count == in_table, (coord.unit, msg)
+        return out
+
+    monkeypatch.setattr(Coordinator, "handle", checked)
+    for scheme in SCHEMES:
+        for workload in WORKLOAD_NAMES:
+            if workload == "condvar" and (units, st_entries) == (4, 1):
+                continue  # the known condvar overload at a one-entry table deadlocks
+            _, sim = run_once(RunConfig(scheme=scheme, workload=workload, units=units,
+                                        cores_per_unit=4, st_entries=st_entries, seed=3))
+            left = {u: c.coordinator.meta for u, c in sim.coords.items() if c.coordinator.meta}
+            assert not left, (scheme, workload, left)
