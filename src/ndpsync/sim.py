@@ -1,13 +1,19 @@
 """Discrete-event runtime with integer-picosecond timing.
 
-Cost model (defaults mirror the simulated hardware):
+Cost model (each fixed cost is one module constant; LatencyModel holds the
+latencies a run chooses, EnergyModel the energies):
   cores        2.5 GHz in-order, 1 instruction per 400 ps cycle
   engines      1 GHz, 12 cycles (12 ns) of compute per serviced message
   crossbar     one 800 ps segment (1 hop + 1 arbiter cycle) per unit crossed,
                plus an M/D/1 queueing term from a sliding utilization window
   links        40 ns per 64-byte line (FIFO per directed link) + 8 ns fixed
   memory       per-technology activate+access latencies, 64-byte lines
-  energy       integer femtojoules per bit moved, per cache access
+  energy       integer femtojoules per bit moved and per cache access, each
+               charged from a count of bytes, accesses, hits or misses
+
+Network._cross is the one path across the system: the source unit's
+crossbar, then, between units, the directed link and the destination unit's
+crossbar. Every message and both legs of a memory access take it.
 
 Delivery between any ordered pair of endpoints is in-order: arrival times
 are clamped to be non-decreasing per (source, destination) pair, which the
@@ -17,8 +23,8 @@ counter decrease).
 The crossbar's sliding window is an approximation. Each unit's window holds
 segment start times in append order, and some of those times lie in the
 future: a crossing made for a later instant, such as a memory reply, is
-appended when it is computed. Network._cross_xbar drops entries only while
-the head has expired, so an expired entry behind a later-dated head still
+appended when it is computed. Network._cross drops entries only while the
+head has expired, so an expired entry behind a later-dated head still
 counts as busy. A time-ordered window that drops every expired entry moved
 time_ps by -1.04 % (syncron hash_table) to +0.72 % (hier hash_table) over
 4 schemes x 5 workloads at 4x16 and seed 3, and changed no saturation count.
@@ -54,19 +60,13 @@ INTRA_SEGMENT_PS = 800
 INTER_LINE_PS = 40_000
 INTER_FIXED_PS = 8_000
 QUEUE_WINDOW_PS = 1_000_000
-QUEUE_CAP_FACTOR = 10
+QUEUE_CAP_PS = 10 * INTRA_SEGMENT_PS  # the longest crossbar queueing wait
 
 DRAM_PS = {
     "hbm": (24_000, 14_000),
     "hmc": (51_000, 36_000),
     "ddr4": (55_000, 34_000),
 }
-
-INTRA_FJ_PER_BIT = 400
-INTER_FJ_PER_BIT = 4_000
-MEM_FJ_PER_BIT = 7_000
-L1_HIT_FJ = 23_000
-L1_MISS_FJ = 47_000
 
 # event ranks, in the order events of one instant are served
 MSG, COMPUTE, MEM, SERVICE = range(4)
@@ -98,16 +98,12 @@ _GRANT_KIND = {op: kind for op in Opcode if ACTION[op] == GRANT and LEVEL[op] ==
 
 @dataclass
 class LatencyModel:
-    """All latencies in integer picoseconds."""
+    """The latencies a run chooses, in integer picoseconds; every other
+    latency is a module constant."""
 
     mem_read_ps: int = DRAM_PS["hbm"][0]
     mem_write_ps: int = DRAM_PS["hbm"][1]
     inter_line_ps: int = INTER_LINE_PS
-    inter_fixed_ps: int = INTER_FIXED_PS
-    intra_segment_ps: int = INTRA_SEGMENT_PS
-    l1_hit_ps: int = L1_HIT_PS
-    queue_window_ps: int = QUEUE_WINDOW_PS
-    queue_cap_factor: int = QUEUE_CAP_FACTOR
 
     @classmethod
     def create(cls, memory: str = "hbm", link_latency_ns: float | None = None) -> "LatencyModel":
@@ -124,24 +120,24 @@ class LatencyModel:
 
     def transfer_latency_ps(self, same_unit: bool, nbytes: int) -> int:
         """Idle-network latency of one transfer, endpoint to endpoint: the
-        closed form of what Network.send_message charges on idle links."""
+        closed form of one Network._cross on idle links."""
         if nbytes <= 0:
             raise ValueError("transfer requires a positive byte count")
         if same_unit:
-            return self.intra_segment_ps
-        return (2 * self.intra_segment_ps
-                + -(-nbytes // LINE_BYTES) * self.inter_line_ps + self.inter_fixed_ps)
+            return INTRA_SEGMENT_PS
+        return (2 * INTRA_SEGMENT_PS
+                + -(-nbytes // LINE_BYTES) * self.inter_line_ps + INTER_FIXED_PS)
 
 
 @dataclass
 class EnergyModel:
     """All energies in integer femtojoules."""
 
-    intra_fj_per_bit: int = INTRA_FJ_PER_BIT
-    inter_fj_per_bit: int = INTER_FJ_PER_BIT
-    mem_fj_per_bit: int = MEM_FJ_PER_BIT
-    l1_hit_fj: int = L1_HIT_FJ
-    l1_miss_fj: int = L1_MISS_FJ
+    intra_fj_per_bit: int = 400
+    inter_fj_per_bit: int = 4_000
+    mem_fj_per_bit: int = 7_000
+    l1_hit_fj: int = 23_000
+    l1_miss_fj: int = 47_000
 
     def intra_fj(self, nbytes: int) -> int:
         return nbytes * 8 * self.intra_fj_per_bit
@@ -156,8 +152,8 @@ class EnergyModel:
 class Stats:
     """Run counters. Times in ps, energies in fJ, all integers."""
 
-    def __init__(self, energy: EnergyModel | None = None) -> None:
-        self.energy = energy or EnergyModel()
+    def __init__(self) -> None:
+        self.energy = EnergyModel()
         self.time_ps = 0
         self.ops = dict.fromkeys(_REQUEST, 0)
         self.messages_intra = 0
@@ -168,7 +164,8 @@ class Stats:
         self.mem_local = 0
         self.mem_remote = 0
         self.mem_sync_var = 0
-        self.energy_cache_fj = 0
+        self.cache_hits = 0  # server cache hits and misses, summed at the end of a run
+        self.cache_misses = 0
         self.sync_requests = 0
         self.sync_overflowed = 0
         self.st_avg_occupancy: list[float] = []
@@ -187,6 +184,13 @@ class Stats:
     @property
     def energy_memory_fj(self) -> int:
         return (self.mem_local + self.mem_remote + self.mem_sync_var) * self.energy.memory_fj()
+
+    @property
+    def energy_cache_fj(self) -> int:
+        """Each server touch reads its line (a hit or a miss), then writes it back (a hit)."""
+        en = self.energy
+        return (self.cache_hits * 2 * en.l1_hit_fj
+                + self.cache_misses * (en.l1_miss_fj + en.l1_hit_fj))
 
     @property
     def overflow_fraction(self) -> float:
@@ -281,53 +285,49 @@ class Network:
         self._link_free = [[0] * cfg.num_units for _ in range(cfg.num_units)]
         # _pair_last[src node][dst node]: the latest arrival from src at dst
         self._pair_last: defaultdict[tuple, dict] = defaultdict(dict)
-        # per-crossing constants: the model stays fixed for a run
-        self._seg_ps = lat.intra_segment_ps
-        self._window_ps = lat.queue_window_ps
-        self._cap_ps = lat.queue_cap_factor * lat.intra_segment_ps
         self._line_ps = lat.inter_line_ps
-        self._fixed_ps = lat.inter_fixed_ps
         self._read_ps = lat.mem_read_ps
         self._write_ps = lat.mem_write_ps
 
-    def _cross_xbar(self, unit: int, nbytes: int, t: int) -> int:
-        """One crossbar segment after an M/D/1 wait from the utilization of a
-        sliding window, where each entry is one segment busy; returns its end."""
-        win = self._window[unit]
-        horizon = t - self._window_ps
-        while win and win[0] <= horizon:
-            win.popleft()
-        seg = self._seg_ps
-        busy = len(win) * seg
-        if busy:
-            free = self._window_ps - busy
-            if free > 0 and (wait := busy * seg // (2 * free)) <= self._cap_ps:
-                t += wait
-            else:
-                self.stats.saturation_events += 1
-                t += self._cap_ps
-        win.append(t)
-        self.stats.bytes_intra += nbytes
-        return t + seg
-
-    def _cross_link(self, src_unit: int, dst_unit: int, nbytes: int, t: int) -> int:
-        occupy = -(-nbytes // LINE_BYTES) * self._line_ps
-        free = self._link_free[src_unit]
-        start = free[dst_unit]
-        if start < t:
-            start = t
-        free[dst_unit] = start + occupy
-        self.stats.bytes_inter += nbytes
-        return start + occupy + self._fixed_ps
+    def _cross(self, unit: int, nbytes: int, t: int, to: int) -> int:
+        """Carry `nbytes` from `unit` to unit `to`, starting at `t`; returns the
+        arrival. Each crossbar crossed is one segment after an M/D/1 wait from
+        the utilization of its sliding window, where each entry is one segment
+        busy. Between units, the FIFO directed link lies between the two."""
+        stats = self.stats
+        while True:
+            win = self._window[unit]
+            horizon = t - QUEUE_WINDOW_PS
+            while win and win[0] <= horizon:
+                win.popleft()
+            if win:
+                busy = len(win) * INTRA_SEGMENT_PS
+                free = QUEUE_WINDOW_PS - busy
+                if free > 0 and (wait := busy * INTRA_SEGMENT_PS // (2 * free)) <= QUEUE_CAP_PS:
+                    t += wait
+                else:
+                    stats.saturation_events += 1
+                    t += QUEUE_CAP_PS
+            win.append(t)
+            t += INTRA_SEGMENT_PS
+            stats.bytes_intra += nbytes
+            if unit == to:
+                return t
+            link_free = self._link_free[unit]
+            if t < link_free[to]:
+                t = link_free[to]
+            t += -(-nbytes // LINE_BYTES) * self._line_ps
+            link_free[to] = t
+            t += INTER_FIXED_PS
+            stats.bytes_inter += nbytes
+            unit = to
 
     def send_message(self, src_node, dst_node, t: int) -> int:
         """Deliver one 18-byte message; returns the arrival time."""
         src_unit = src_node[1]
         dst_unit = dst_node[1]
-        arrival = self._cross_xbar(src_unit, MESSAGE_BYTES, t)
+        arrival = self._cross(src_unit, MESSAGE_BYTES, t, dst_unit)
         if dst_unit != src_unit:
-            arrival = self._cross_link(src_unit, dst_unit, MESSAGE_BYTES, arrival)
-            arrival = self._cross_xbar(dst_unit, MESSAGE_BYTES, arrival)
             self.stats.messages_inter += 1
         else:
             self.stats.messages_intra += 1
@@ -348,19 +348,11 @@ class Network:
             stats.mem_local += 1
         else:
             stats.mem_remote += 1
-        # request: writes carry the line, reads an 18-byte command
-        req_bytes = LINE_BYTES if write else MESSAGE_BYTES
-        at = self._cross_xbar(req_unit, req_bytes, t)
-        if home_unit != req_unit:
-            at = self._cross_link(req_unit, home_unit, req_bytes, at)
-            at = self._cross_xbar(home_unit, req_bytes, at)
-        if write:
-            return at + self._write_ps  # posted: done once the array commits
-        at = self._cross_xbar(home_unit, LINE_BYTES, at + self._read_ps)
-        if home_unit != req_unit:
-            at = self._cross_link(home_unit, req_unit, LINE_BYTES, at)
-            at = self._cross_xbar(req_unit, LINE_BYTES, at)
-        return at
+        if write:  # the request carries the line; posted: done once the array commits
+            return self._cross(req_unit, LINE_BYTES, t, home_unit) + self._write_ps
+        # an 18-byte command there, the line back once the array is read
+        at = self._cross(req_unit, MESSAGE_BYTES, t, home_unit) + self._read_ps
+        return self._cross(home_unit, LINE_BYTES, at, req_unit)
 
 
 class _Core:
@@ -399,10 +391,8 @@ class Simulation:
                  trace: bool = False):
         self.cfg = cfg
         self.workload = workload
-        self.lat = latency or LatencyModel.create()
-        self.en = EnergyModel()
-        self.stats = Stats(self.en)
-        self.network = Network(cfg, self.lat, self.stats)
+        self.stats = Stats()
+        self.network = Network(cfg, latency or LatencyModel.create(), self.stats)
         self.trace_enabled = trace
         self.trace: list[TraceRecord] = []
         self.wire_log = bytearray()
@@ -491,7 +481,9 @@ class Simulation:
         end = self.now
         for crt in self.coords.values():  # built in ascending unit order
             table = crt.coordinator.table
-            if table is None:
+            if table is None:  # a software server
+                self.stats.cache_hits += crt.cache.hits
+                self.stats.cache_misses += crt.cache.misses
                 continue
             self._occ_sample(crt, end)
             denom = end * table.capacity
@@ -535,6 +527,8 @@ class Simulation:
             if op == "mem":
                 _, addr, write = step
                 home = addr // self.cfg.unit_mem_bytes
+                if not 0 <= home < self.cfg.num_units:
+                    master_se_of(self.cfg, addr)  # raises: the address is outside system memory
                 done = self.network.memory_access(unit, home, write, t)
                 if tracing:
                     self._trace(t, "mem_op", unit, local, addr, int(write))
@@ -649,22 +643,16 @@ class Simulation:
         heappush(self._heap, (cursor, SERVICE, crt.key, self._seq, crt.node, out))
 
     def _server_touches(self, crt: _Coord, touches, cursor: int) -> int:
-        """A software server reads and updates each variable line it handles."""
+        """A software server reads and updates each variable line it handles;
+        the cache counts its hits and misses, which Stats charges energy for."""
         unit = crt.coordinator.unit
-        stats = self.stats
-        hit_ps = self.lat.l1_hit_ps
-        hit_fj = self.en.l1_hit_fj
         for addr in touches:
-            line = addr // LINE_BYTES
-            if crt.cache.access(line):
-                cursor += hit_ps
-                stats.energy_cache_fj += hit_fj
+            if crt.cache.access(addr // LINE_BYTES):
+                cursor += L1_HIT_PS
             else:
-                stats.energy_cache_fj += self.en.l1_miss_fj
                 home = addr // self.cfg.unit_mem_bytes
                 cursor = self.network.memory_access(unit, home, False, cursor, sync_var=True)
-            cursor += hit_ps  # write the updated state back to the line
-            stats.energy_cache_fj += hit_fj
+            cursor += L1_HIT_PS  # write the updated state back to the line
         return cursor
 
     def _on_service_done(self, node, out, t: int) -> None:

@@ -12,8 +12,6 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ProtocolError
 
 
@@ -64,16 +62,12 @@ class SynchronizationTable:
         self._live.remove(addr)
 
 
-@dataclass
 class IndexingCounters:
     """Aliased per-index counts of variables currently serviced via memory."""
 
-    size: int = 256
-    counts: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = [0] * self.size
+    def __init__(self, size: int):
+        self.size = size
+        self.counts = [0] * size
 
     def index_of(self, addr: int) -> int:
         return addr % self.size

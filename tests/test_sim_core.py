@@ -169,6 +169,23 @@ def test_idle_send_takes_the_closed_form_transfer_latency():
             assert arrival - sent == lat.transfer_latency_ps(same_unit, 18)  # one message
 
 
+@pytest.mark.parametrize("link_ns", [None, 500])
+@pytest.mark.parametrize("home", [0, 1])
+def test_idle_memory_access_takes_the_closed_form_transfer_latency(link_ns, home):
+    """A write carries its line there; a read sends a command there and the line back."""
+    cfg = SystemConfig(num_units=2, cores_per_unit=4)
+    lat = LatencyModel.create("hbm", link_latency_ns=link_ns)
+    same = home == 0
+    start = 3_000
+    net = Network(cfg, lat, Stats())
+    assert (net.memory_access(0, home, write=True, t=start) - start
+            == lat.transfer_latency_ps(same, 64) + lat.mem_write_ps)
+    net = Network(cfg, lat, Stats())
+    assert (net.memory_access(0, home, write=False, t=start) - start
+            == lat.transfer_latency_ps(same, 18) + lat.mem_read_ps
+            + lat.transfer_latency_ps(same, 64))
+
+
 def test_link_is_fifo_per_direction():
     net, _ = make_network()
     a = net.send_message(("core", 0, 0), ("coord", 1), 0)
@@ -180,28 +197,28 @@ def test_link_is_fifo_per_direction():
 
 def test_queueing_grows_with_utilization_and_saturates():
     net, stats = make_network()
-    assert net._cross_xbar(0, 18, 0) == 800  # an idle crossbar adds no wait
+    assert net._cross(0, 18, 0, 0) == 800  # an idle crossbar adds no wait
     for _ in range(699):
-        net._cross_xbar(0, 18, 0)
+        net._cross(0, 18, 0, 0)
     assert len(net._window[0]) == 700
     # the crossing starts after busy * segment // (2 * free) of the window
-    wait = net._cross_xbar(0, 18, 0) - 800
+    wait = net._cross(0, 18, 0, 0) - 800
     assert wait == 560_000 * 800 // (2 * 440_000)
     assert wait > 0
     before = stats.saturation_events
     for _ in range(599):  # push utilization past the window
-        net._cross_xbar(0, 18, 0)
-    assert net._cross_xbar(0, 18, 0) - 800 == 10 * 800  # clamped at the cap
+        net._cross(0, 18, 0, 0)
+    assert net._cross(0, 18, 0, 0) - 800 == 10 * 800  # clamped at the cap
     assert stats.saturation_events > before
 
 
 def test_queue_window_slides():
     net, _ = make_network()
     for _ in range(700):
-        net._cross_xbar(0, 18, 0)
-    assert net._cross_xbar(0, 18, 0) - 800 == 560_000 * 800 // (2 * 440_000)
+        net._cross(0, 18, 0, 0)
+    assert net._cross(0, 18, 0, 0) - 800 == 560_000 * 800 // (2 * 440_000)
     # a window later the history has drained
-    assert net._cross_xbar(0, 18, 2_000_000) - 800 == 2_000_000
+    assert net._cross(0, 18, 2_000_000, 0) - 800 == 2_000_000
     assert list(net._window[0]) == [2_000_000]
 
 
@@ -214,7 +231,7 @@ def test_pairwise_delivery_is_in_order():
     assert first == 10 * 800 + 800
     # by t=1000 those segments have left the window, so the second send finds
     # it nearly idle and would overtake the first without the pair clamp
-    assert net._cross_xbar(0, 18, 1000) == 1000 + 800
+    assert net._cross(0, 18, 1000, 0) == 1000 + 800
     second = net.send_message(("coord", 0), ("core", 0, 1), 1000)
     assert second == first
 
@@ -533,6 +550,16 @@ def test_sync_address_outside_memory_rejected(scheme):
         sim.run()
 
 
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_data_address_outside_memory_rejected(where):
+    cfg = SystemConfig(num_units=2, cores_per_unit=3)
+    addr = -64 if where == "below" else 2 * cfg.unit_mem_bytes + 64
+    sim = Simulation(cfg, Script(cfg, {0: [("mem", addr, False)]}))
+    with pytest.raises(ConfigError, match="outside system memory"):
+        sim.run()
+    assert sim.stats.mem_local + sim.stats.mem_remote == 0
+
+
 # -- network invariants ------------------------------------------------------------
 
 
@@ -551,11 +578,11 @@ def test_random_traffic_keeps_pair_order_and_link_fifo(seed):
     for _ in range(150):
         unit = rng.randrange(4)
         for _ in range(rng.randrange(1500)):
-            net._cross_xbar(unit, 18, t)
+            net._cross(unit, 18, t, unit)
         local = [n for n in nodes if n[1] == unit]
         pairs = [(src, dst) for src, dst in
                  ((rng.choice(local), rng.choice(nodes)) for _ in range(3)) if src != dst]
-        t += net._window_ps - rng.randrange(20_000)
+        t += sim_module.QUEUE_WINDOW_PS - rng.randrange(20_000)
         for _ in range(40):
             t += rng.randrange(2000)
             if not pairs or rng.random() < 0.2:  # memory traffic, dated ahead
@@ -578,8 +605,23 @@ def test_energy_is_traffic_times_rates(scheme, workload):
     cfg = SystemConfig(num_units=4, cores_per_unit=4, scheme=scheme)
     sim = Simulation(cfg, make_workload(cfg, workload, seed=3))
     s = sim.run()
-    en = sim.en
+    en = sim.stats.energy
     assert s.bytes_intra > 0 and s.mem_local + s.mem_remote + s.mem_sync_var > 0
     assert s.energy_network_fj == (s.bytes_intra * 8 * en.intra_fj_per_bit
                                    + s.bytes_inter * 8 * en.inter_fj_per_bit)
     assert s.energy_memory_fj == (s.mem_local + s.mem_remote + s.mem_sync_var) * en.memory_fj(64)
+
+
+@pytest.mark.parametrize("scheme", ("hier", "central"))
+@pytest.mark.parametrize("workload", ("hash_table", "linked_list", "condvar"))
+def test_cache_energy_is_server_hits_and_misses_times_rates(scheme, workload):
+    cfg = SystemConfig(num_units=4, cores_per_unit=4, scheme=scheme)
+    sim = Simulation(cfg, make_workload(cfg, workload, seed=3))
+    s = sim.run()
+    en = s.energy
+    caches = [crt.cache for crt in sim.coords.values()]
+    hits = sum(c.hits for c in caches)
+    misses = sum(c.misses for c in caches)
+    assert hits > 0 and misses > 0
+    assert s.energy_cache_fj == hits * 2 * en.l1_hit_fj + misses * (en.l1_miss_fj + en.l1_hit_fj)
+    assert misses == s.mem_sync_var  # a server's only variable memory traffic is its misses
