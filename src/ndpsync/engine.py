@@ -2,9 +2,11 @@
 
 A Coordinator is one synchronization service point (topology.SCHEME_AXES):
 an engine, with a fixed-capacity table and a memory fallback path, or a
-software server, with an unbounded cache-modelled dict. All schemes share
-the protocol logic below; they differ in route (who receives core
-requests), service point, and message cost, which the runtime charges.
+software server, with an unbounded dict read through its own L1 (a
+ServerCache). All schemes share the protocol logic below; they differ in
+route (who receives core requests), service point, and message cost. A
+coordinator reports the accesses its service made, in order; the runtime
+prices them.
 
 Local routing: cores talk only to their own unit's coordinator;
 coordinators exchange *_global messages with the master of a variable and
@@ -39,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .baselines import ServerCache
 from .errors import ProtocolError
 from .messages import (ACQUIRE, ACQUIRES, ACTION, BARRIER, BROADCAST, CONDVAR, GLOBAL, GRANT,
                        LEVEL, LOCAL, LOCK, OVERFLOW, POST, PRIMITIVE, RELEASE, SEMAPHORE,
                        SIGNAL, SYNC_REQUESTS, WAIT, Message, Opcode, core_id_bits, pack_core,
                        unpack_core)
 from .sync_table import IndexingCounters, SynchronizationTable
-from .topology import SystemConfig, master_se_of
+from .topology import LINE_BYTES, SystemConfig, master_se_of
 
 # info value on a cond grant that wakes every parked waiter of a unit
 WAKE_ALL = (1 << 64) - 1
@@ -107,16 +110,16 @@ class VarMeta:
 
 
 class Output:
-    """Everything one handled message produced; the runtime charges costs."""
+    """Everything one handled message produced. `accesses`, (kind, addr) in service
+    order, is the account the runtime prices: "st_reserve" or "st_release" (a
+    table entry), "read" or "write" (the line in memory), "l1" (an L1 access)."""
 
-    __slots__ = ("sends", "internal", "mem_ops", "touches", "table_events", "overflowed")
+    __slots__ = ("sends", "internal", "accesses", "overflowed")
 
     def __init__(self):
-        self.sends = []         # (dst node, Message)
-        self.internal = []      # self-injected requests (condvar resume)
-        self.mem_ops = []       # ("read"|"write", addr) on the record line
-        self.touches = []       # variable lines a server accessed
-        self.table_events = []  # ("st_reserve"|"st_release", addr)
+        self.sends = []     # (dst node, Message)
+        self.internal = []  # self-injected requests (condvar resume)
+        self.accesses = []
         self.overflowed = False
 
 
@@ -129,6 +132,7 @@ class Coordinator:
         self.direct = cfg.route == "direct"
         self.table = None if self.server else SynchronizationTable(cfg.st_entries)
         self.counters = None if self.server else IndexingCounters(cfg.index_counters)
+        self.cache = ServerCache() if self.server else None
         self.meta: dict[int, VarMeta] = {}
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
@@ -176,7 +180,7 @@ class Coordinator:
         if not self.server:
             assert addr not in self.enrolled, "reserve while enrolled in an overflow episode"
             self.table.reserve(addr)
-            out.table_events.append(("st_reserve", addr))
+            out.accesses.append(("st_reserve", addr))
         meta = self.meta[addr] = VarMeta(primitive)
         return meta, True
 
@@ -188,7 +192,7 @@ class Coordinator:
                 self._to_unit(out, u, addr, Opcode.DECREASE_INDEXING_COUNTER, 0)
         elif not self.server:
             self.table.release(addr)
-            out.table_events.append(("st_release", addr))
+            out.accesses.append(("st_release", addr))
         del self.meta[addr]
 
     # -- waiter order --------------------------------------------------------------
@@ -292,10 +296,9 @@ class Coordinator:
             meta = self._memory_path(msg, None, out)
         else:
             _HANDLER[op](self, msg, meta, out)
-            if self.server:
-                # the lock line released by a cond wait is recorded by its own
-                # inner dispatch, so one touch per dispatched message suffices
-                out.touches.append(addr)
+            if self.server:  # read the variable's line through the L1, then write it back
+                out.accesses += (("l1" if self.cache.access(addr // LINE_BYTES) else "read", addr),
+                                 ("l1", addr))
             if meta is None:
                 meta = self.meta.get(addr)
 
@@ -361,7 +364,7 @@ class Coordinator:
         addr = msg.addr
         op = msg.opcode
         out.overflowed = True
-        out.mem_ops.append(("read", addr))
+        out.accesses.append(("read", addr))
         if meta is None:
             if op in _SIGNALS:
                 return None  # lost signal: nothing parked anywhere
@@ -372,7 +375,7 @@ class Coordinator:
         elif not meta.in_memory:
             # migrate a live entry to memory: a remote engine overflowed first
             self.table.release(addr)
-            out.table_events.append(("st_release", addr))
+            out.accesses.append(("st_release", addr))
             meta.in_memory = True
             self.counters.increment(addr)
         if op in _OVERFLOW_ACQUIRES:
@@ -380,7 +383,7 @@ class Coordinator:
             meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
 
         _HANDLER[op](self, msg, meta, out)
-        out.mem_ops.append(("write", addr))
+        out.accesses.append(("write", addr))
         return meta
 
     # -- locks -------------------------------------------------------------------

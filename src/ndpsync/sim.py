@@ -15,6 +15,10 @@ Network._cross is the one path across the system: the source unit's
 crossbar, then, between units, the directed link and the destination unit's
 crossbar. Every message and both legs of a memory access take it.
 
+Simulation._start_service prices a coordinator's service in one loop over its
+account (engine.Output.accesses): SE_SERVICE_PS, then, in order, an L1 hit, a
+Network.memory_access or a table occupancy sample per access.
+
 Delivery between any ordered pair of endpoints is in-order: arrival times
 are clamped to be non-decreasing per (source, destination) pair, which the
 overflow protocol relies on (a grant must not overtake the episode-closing
@@ -40,22 +44,22 @@ instant, the lower key goes first, so cores go before coordinators.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .baselines import IdealOracle, ServerCache
+from .baselines import IdealOracle
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .messages import (ACQUIRES, ACTION, GRANT, LEVEL, LOCAL, MESSAGE_BYTES, PRIMITIVE,
                        SYNC_REQUESTS, Message, Opcode, encode)
-from .topology import SystemConfig, master_se_of
+from .topology import LINE_BYTES, SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
 SE_SERVICE_PS = 12_000
 L1_HIT_PS = 1_600
 
-LINE_BYTES = 64
 INTRA_SEGMENT_PS = 800
 INTER_LINE_PS = 40_000
 INTER_FIXED_PS = 8_000
@@ -113,9 +117,10 @@ class LatencyModel:
         read_ps, write_ps = DRAM_PS[memory]
         model = cls(mem_read_ps=read_ps, mem_write_ps=write_ps)
         if link_latency_ns is not None:
-            if link_latency_ns <= 0:
-                raise ConfigError("link_latency_ns must be positive")
-            model.inter_line_ps = int(round(link_latency_ns * 1000))
+            if not 0.5 < link_latency_ns * 1000 < math.inf:  # rounds to a finite 1 ps or more
+                raise ConfigError("link_latency_ns must be positive, finite and at least 1 ps "
+                                  f"once rounded; got {link_latency_ns}")
+            model.inter_line_ps = round(link_latency_ns * 1000)
         return model
 
     def transfer_latency_ps(self, same_unit: bool, nbytes: int) -> int:
@@ -368,14 +373,13 @@ class _Core:
 
 
 class _Coord:
-    __slots__ = ("coordinator", "inbox", "busy", "cache", "node", "key",
-                 "occ_acc", "occ_last_t", "occ_level", "occ_max")
+    __slots__ = ("coordinator", "inbox", "busy", "node", "key", "occ_acc", "occ_last_t",
+                 "occ_level", "occ_max")
 
-    def __init__(self, coordinator: Coordinator, cache: ServerCache | None):
+    def __init__(self, coordinator: Coordinator):
         self.coordinator = coordinator
         self.inbox = deque()
         self.busy = False
-        self.cache = cache
         self.node = ("coord", coordinator.unit)
         self.key = COORD_KEY_BASE + coordinator.unit
         self.occ_acc = 0
@@ -415,8 +419,7 @@ class Simulation:
         if len(self.cores) != clients or len(programs) != clients:
             raise ProtocolError("workload programs do not cover exactly the client cores")
 
-        self.coords = {u: _Coord(Coordinator(cfg, u), ServerCache() if cfg.server else None)
-                       for u in cfg.coord_units}
+        self.coords = {u: _Coord(Coordinator(cfg, u)) for u in cfg.coord_units}
         self.oracle = IdealOracle(self._oracle_wake) if cfg.route is None else None
         # every message endpoint by node tuple
         self._at = {crt.node: crt for crt in (*self.cores, *self.coords.values())}
@@ -482,8 +485,8 @@ class Simulation:
         for crt in self.coords.values():  # built in ascending unit order
             table = crt.coordinator.table
             if table is None:  # a software server
-                self.stats.cache_hits += crt.cache.hits
-                self.stats.cache_misses += crt.cache.misses
+                self.stats.cache_hits += crt.coordinator.cache.hits
+                self.stats.cache_misses += crt.coordinator.cache.misses
                 continue
             self._occ_sample(crt, end)
             denom = end * table.capacity
@@ -620,40 +623,26 @@ class Simulation:
         msg, src = crt.inbox.popleft()
         coord = crt.coordinator
         out = coord.handle(msg)
-        if out.table_events:  # a reserve or release: occupancy changes from t
-            self._occ_sample(crt, t)
-
         if src[0] == "core" and msg.opcode in SYNC_REQUESTS:
             self.stats.sync_requests += 1
             if out.overflowed:
                 self.stats.sync_overflowed += 1
-        if self.trace_enabled:
-            for kind, addr in out.table_events:
-                self._trace(t, kind, coord.unit, -1, addr)
-
+        # a line comes from its home unit, which is an engine record's master
         cursor = t + SE_SERVICE_PS
-        for opkind, addr in out.mem_ops:
-            cursor = self.network.memory_access(coord.unit, coord.unit,
-                                                opkind == "write", cursor, sync_var=True)
-        if crt.cache is not None:
-            cursor = self._server_touches(crt, out.touches, cursor)
+        for kind, addr in out.accesses:
+            if kind == "l1":
+                cursor += L1_HIT_PS
+            elif kind == "read" or kind == "write":
+                cursor = self.network.memory_access(coord.unit, addr // self.cfg.unit_mem_bytes,
+                                                    kind == "write", cursor, sync_var=True)
+            else:  # a table reserve or release: occupancy changes from t
+                self._occ_sample(crt, t)
+                if self.trace_enabled:
+                    self._trace(t, kind, coord.unit, -1, addr)
 
         crt.busy = True
         self._seq += 1
         heappush(self._heap, (cursor, SERVICE, crt.key, self._seq, crt.node, out))
-
-    def _server_touches(self, crt: _Coord, touches, cursor: int) -> int:
-        """A software server reads and updates each variable line it handles;
-        the cache counts its hits and misses, which Stats charges energy for."""
-        unit = crt.coordinator.unit
-        for addr in touches:
-            if crt.cache.access(addr // LINE_BYTES):
-                cursor += L1_HIT_PS
-            else:
-                home = addr // self.cfg.unit_mem_bytes
-                cursor = self.network.memory_access(unit, home, False, cursor, sync_var=True)
-            cursor += L1_HIT_PS  # write the updated state back to the line
-        return cursor
 
     def _on_service_done(self, node, out, t: int) -> None:
         crt = self.coords[node[1]]

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .messages import CORE_ID_LIMIT, core_id_bits, pack_core
 
 MIB = 1024 * 1024
+LINE_BYTES = 64  # a memory and cache line
 
 # Each scheme as (route, service point). Route "local": a core sends to its own
 # unit's coordinator, which aggregates toward the master; "direct": straight to
@@ -80,9 +81,11 @@ class SystemConfig:
             raise ConfigError("inbox_depth must be >= 1")
         if self.route is not None:
             self._check_core_id_width()
+            if (total := self.total_mem_bytes) > 1 << 64:
+                raise ConfigError(f"{total} bytes of memory need addresses past 64 bits")
 
     def _check_core_id_width(self) -> None:
-        """Reject a shape whose client cores' wire ids need more than 6 bits.
+        """Reject a shape whose wire core ids (a client's or a unit's) need more than 6 bits.
 
         The check covers the widest id the scheme can send, so a run cannot
         fail later depending on whether, say, the overflow path fires.
@@ -90,6 +93,8 @@ class SystemConfig:
         top = self.clients_per_unit - 1
         if self.route == "direct" or not self.server:  # an engine packs on its overflow path
             top |= (self.num_units - 1) << core_id_bits(self.cores_per_unit)
+        if self.route == "local":  # a unit's id on its *_global messages
+            top = max(top, self.num_units - 1)
         if top >= CORE_ID_LIMIT:
             raise ConfigError(
                 f"scheme {self.scheme!r} with {self.num_units} units x {self.cores_per_unit} "

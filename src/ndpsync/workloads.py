@@ -31,11 +31,10 @@ import json
 import random
 
 from .errors import ConfigError
-from .topology import SystemConfig
+from .topology import LINE_BYTES, SystemConfig
 
 _SYNC_REGION = 0x10_000      # per-unit offset for synchronization variables
 _DATA_REGION = 0x4_000_000   # per-unit offset for data
-_LINE = 64
 
 # parameters that size a structure (an empty one has no key, node or slot to pick)
 _SIZE_PARAMS = ("buckets", "nodes", "slots")
@@ -76,7 +75,7 @@ class Workload:
     @classmethod
     def top_offset(cls, cfg: SystemConfig, params: dict) -> int:
         """Byte offset, within its unit, of the highest line the workload
-        touches, from the configuration alone. Default: sync slot 0."""
+        uses, from the configuration alone. Default: sync slot 0."""
         return _SYNC_REGION
 
     # one generator per client core, keyed by its node; single use per instance
@@ -102,10 +101,10 @@ class Workload:
     # -- addressing -----------------------------------------------------------
 
     def _sync_addr(self, unit: int, slot: int) -> int:
-        return unit * self.cfg.unit_mem_bytes + _SYNC_REGION + slot * _LINE
+        return unit * self.cfg.unit_mem_bytes + _SYNC_REGION + slot * LINE_BYTES
 
     def _data_addr(self, unit: int, slot: int) -> int:
-        return unit * self.cfg.unit_mem_bytes + _DATA_REGION + slot * _LINE
+        return unit * self.cfg.unit_mem_bytes + _DATA_REGION + slot * LINE_BYTES
 
     def _striped_addr(self, i: int, first: int = 0) -> int:
         """Data line of element i, striped over the units from data slot `first`."""
@@ -225,7 +224,7 @@ class CondvarMicro(Workload):
 
     @classmethod
     def top_offset(cls, cfg, params):
-        return _SYNC_REGION + _LINE  # the condition variable, sync slot 1
+        return _SYNC_REGION + LINE_BYTES  # the condition variable, sync slot 1
 
     def _program(self, idx):
         if idx < self.n_waiters:
@@ -265,7 +264,7 @@ class StackPush(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
-        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _striped_addr(last, 1)
+        return _DATA_REGION + (1 + last // cfg.num_units) * LINE_BYTES  # _striped_addr(last, 1)
 
     def _program(self, idx):
         for k in range(self.ops_per_core):
@@ -301,7 +300,7 @@ class QueuePop(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cfg.total_clients * cls._resolve(params)["ops_per_core"] - 1
-        return _DATA_REGION + (1 + last // cfg.num_units) * _LINE  # _striped_addr(last, 1)
+        return _DATA_REGION + (1 + last // cfg.num_units) * LINE_BYTES  # _striped_addr(last, 1)
 
     def _program(self, idx):
         for _ in range(self.ops_per_core):
@@ -334,7 +333,7 @@ class ArrayMap(Workload):
     @classmethod
     def top_offset(cls, cfg, params):
         last = cls._resolve(params)["slots"] - 1
-        return _DATA_REGION + (last // cfg.num_units) * _LINE  # _striped_addr(last)
+        return _DATA_REGION + (last // cfg.num_units) * LINE_BYTES  # _striped_addr(last)
 
     def _program(self, idx):
         rng = self._rng(idx)
@@ -365,7 +364,7 @@ class HashTable(Workload):
         units = cfg.num_units
         self.bucket_locks = [self._sync_addr(b % units, 0x200 + b // units)
                              for b in range(self.buckets)]
-        # bucket b's data line at depth d: bucket_data[b] + (d % 8) * _LINE
+        # bucket b's data line at depth d: bucket_data[b] + (d % 8) * LINE_BYTES
         self.bucket_data = [self._data_addr(b % units, 0x1000 + (b // units) * 8)
                             for b in range(self.buckets)]
 
@@ -373,7 +372,7 @@ class HashTable(Workload):
     def top_offset(cls, cfg, params):
         # the last bucket's deepest data line lies above every bucket lock
         last = cls._resolve(params)["buckets"] - 1
-        return _DATA_REGION + (0x1000 + (last // cfg.num_units) * 8 + 7) * _LINE
+        return _DATA_REGION + (0x1000 + (last // cfg.num_units) * 8 + 7) * LINE_BYTES
 
     def _program(self, idx):
         rng = self._rng(idx)
@@ -384,7 +383,7 @@ class HashTable(Workload):
             yield ("lock_acquire", self.bucket_locks[b])
             yield ("mem", self.bucket_data[b], False)
             depth = len(self.chains[b])
-            yield ("mem", self.bucket_data[b] + (1 + depth) % 8 * _LINE, True)
+            yield ("mem", self.bucket_data[b] + (1 + depth) % 8 * LINE_BYTES, True)
             self.chains[b].append(key)
             yield ("lock_release", self.bucket_locks[b])
             self.completed_ops += 1
@@ -413,7 +412,7 @@ class LinkedList(Workload):
 
     @classmethod
     def top_offset(cls, cfg, params):
-        return _SYNC_REGION + (0x400 + cls._resolve(params)["nodes"] - 1) * _LINE
+        return _SYNC_REGION + (0x400 + cls._resolve(params)["nodes"] - 1) * LINE_BYTES
 
     def _program(self, idx):
         rng = self._rng(idx)
@@ -458,13 +457,15 @@ def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> 
         low = 1 if key in _SIZE_PARAMS else 0
         if value < low:
             raise ConfigError(f"workload {name!r} needs {key} >= {low}, got {value}")
+        if key == "sem_initial" and value >> 32:  # sem_wait_global carries it in 32 bits
+            raise ConfigError(f"workload {name!r} needs sem_initial < 2**32, got {value}")
     for key in cls.client_params:
         if key in params and not 0 < int(params[key]) <= cfg.total_clients:
             raise ConfigError(f"workload {name!r} needs {key} in 1..{cfg.total_clients}, got {params[key]}")
     if cfg.unit_mem_bytes <= _DATA_REGION:
         raise ConfigError(f"unit memory of {cfg.unit_mem_bytes:#x} bytes ends before the "
                           f"workload data region at {_DATA_REGION:#x} (64 MiB)")
-    end = cls.top_offset(cfg, params) + _LINE
+    end = cls.top_offset(cfg, params) + LINE_BYTES
     if end > cfg.unit_mem_bytes:
         raise ConfigError(f"workload {name!r} with these parameters reaches {end:#x} bytes "
                           f"into a unit, past its {cfg.unit_mem_bytes:#x} bytes of memory")

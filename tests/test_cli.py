@@ -392,6 +392,70 @@ def test_workload_filling_unit_memory_runs(tmp_path):
     assert cli.main(["--config", str(ini), "--out", str(tmp_path / "b")]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-6"])
+@pytest.mark.parametrize("route", ["flag", "sweep", "ini"])
+def test_unusable_link_latency_exits_2_before_first_run(tmp_path, capsys, value, route):
+    # 1e-6 ns rounds to a 0 ps link
+    argv = SMALL + {"flag": ["--link-latency-ns", value],
+                    "sweep": ["--sweep", f"link_latency_ns=5,{value}"], "ini": []}[route]
+    if route == "ini":
+        ini = tmp_path / "latency.ini"
+        ini.write_text(f"[latency]\nlink_latency_ns = {value}\n")
+        argv += ["--config", str(ini)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and "Traceback" not in err
+    assert err.startswith("error: link_latency_ns must be positive, finite")
+    assert not out.exists()
+
+
+# each shape at the smallest value whose message fields the 18-byte format cannot hold
+WIRE_OVERFLOW = {
+    "unit-id": ("[system]\nscheme = hier\nunits = 65\ncores_per_unit = 2\n", "core id 64"),
+    "address": ("[system]\nunits = 2\ncores_per_unit = 4\nunit_mem_mib = 17592186044416\n",
+                "need addresses past 64 bits"),
+    "sem-initial": ("[system]\nunits = 4\ncores_per_unit = 4\n"
+                    "[workload]\nname = semaphore\nsem_initial = 4294967296\n",
+                    "needs sem_initial < 2**32, got 4294967296"),
+}
+
+
+@pytest.mark.parametrize("case", WIRE_OVERFLOW)
+def test_message_field_overflow_exits_2_before_first_run(tmp_path, capsys, case):
+    body, fragment = WIRE_OVERFLOW[case]
+    ini = tmp_path / "wide.ini"
+    ini.write_text(body)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and "Traceback" not in err
+    assert err.startswith("error: ") and fragment in err
+    assert not out.exists()
+
+
+def test_sem_initial_bound_holds_for_every_scheme_of_a_sweep(tmp_path, capsys):
+    ini = tmp_path / "sem.ini"
+    ini.write_text(WIRE_OVERFLOW["sem-initial"][0])
+    rv = cli.main(["--config", str(ini), "--sweep", "scheme=ideal,syncron",
+                   "--out", str(tmp_path / "out")])
+    assert rv == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and "needs sem_initial < 2**32" in err
+
+
+@pytest.mark.parametrize("body", [
+    "[system]\nscheme = hier\nunits = 64\ncores_per_unit = 2\n[workload]\niterations = 2\n",
+    "[system]\nunits = 2\ncores_per_unit = 4\nunit_mem_mib = 8796093022208\n",
+    "[system]\nunits = 4\ncores_per_unit = 4\n"
+    "[workload]\nname = semaphore\nsem_initial = 4294967295\n",
+], ids=["unit-id-63", "addresses-to-2**64", "sem-initial-2**32-1"])
+def test_widest_message_fields_run_traced(tmp_path, body):
+    ini = tmp_path / "edge.ini"
+    ini.write_text(body)
+    assert cli.main(["--config", str(ini), "--verify", "--out", str(tmp_path)]) == 0
+
+
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     src = str(Path(ndpsync.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -157,6 +157,10 @@ def sent(out, op):
     return [(dst, m) for dst, m in out.sends if m.opcode is op]
 
 
+def table_events(out):
+    return [(kind, addr) for kind, addr in out.accesses if kind in ("st_reserve", "st_release")]
+
+
 def test_non_master_lock_asks_once_and_grant_goes_to_lowest_local_core():
     # unit 1 is not A's master: its request for the unit is out while A has no owner
     A = 64
@@ -194,7 +198,7 @@ def test_non_master_condvar_announces_while_its_entry_exists():
     # the last wake frees the entry
     last = coord.handle(Message(CV, Opcode.COND_GRANT_GLOBAL, 0, 1))
     assert last.internal == [Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 1, CV)]
-    assert last.sends == [] and last.table_events == [("st_release", CV)]
+    assert last.sends == [] and table_events(last) == [("st_release", CV)]
     assert CV not in coord.meta
     # core 0 re-acquires L, waits again, and the fresh entry is announced afresh
     coord.handle(first.internal[0])
@@ -264,13 +268,13 @@ def test_release_with_parked_waiter_rejected(scheme):
     coord.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0))
     out = coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 0, 0))
     assert out.sends == [(("core", 0, 1), Message(64, Opcode.LOCK_GRANT_LOCAL, 1, 0))]
-    assert out.table_events == [] and coord.meta[64].owner == (LOCAL, 1)
+    assert table_events(out) == [] and coord.meta[64].owner == (LOCAL, 1)
     if scheme == "syncron":
         assert coord.table.occupied_count == 1
     out = coord.handle(Message(64, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
     assert out.sends == [] and coord.meta == {}
     if scheme == "syncron":
-        assert out.table_events == [("st_release", 64)] and coord.table.occupied_count == 0
+        assert table_events(out) == [("st_release", 64)] and coord.table.occupied_count == 0
 
 
 def test_grant_goes_local_first_then_ascending_units():
@@ -454,7 +458,7 @@ def test_condvar_broadcast_at_the_master_wakes_every_level():
     ]
     assert CV not in coord.meta and coord.counters.total() == 0
     idle = coord.handle(Message(CV, Opcode.COND_BROAD_LOCAL, 1, 0))
-    assert (idle.sends, idle.internal, idle.mem_ops) == ([], [], [])
+    assert (idle.sends, idle.internal, idle.accesses) == ([], [], [])
     assert CV not in coord.meta
 
 
@@ -643,8 +647,8 @@ def test_lost_signal_on_the_memory_path_reads_the_record_and_writes_nothing():
     CV, L = 0x40, 0x80
     coord.handle(Message(L, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))
     out = coord.handle(Message(CV, Opcode.COND_SIGNAL_LOCAL, 1, 0))
-    assert out.overflowed and out.mem_ops == [("read", CV)]
-    assert (out.sends, out.table_events) == ([], []) and list(coord.meta) == [L]
+    assert out.overflowed and out.accesses == [("read", CV)]
+    assert (out.sends, table_events(out)) == ([], []) and list(coord.meta) == [L]
     assert coord.counters.total() == 0
 
 

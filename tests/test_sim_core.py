@@ -186,6 +186,67 @@ def test_idle_memory_access_takes_the_closed_form_transfer_latency(link_ns, home
             + lat.transfer_latency_ps(same, 64))
 
 
+
+def serve(sim, unit, msg, src, t):
+    """Serve one message from `src` at coordinator `unit`, idle at `t`; returns
+    its service completion time, with its sends left undelivered."""
+    crt = sim.coords[unit]
+    sim._intake(crt, (msg, src), t)
+    [(done, rank, _, _, node, out)] = sim._heap
+    assert rank == SERVICE
+    sim._on_service_done(node, out, done)
+    sim._heap.clear()
+    return done
+
+
+def idle_read_ps(lat, same_unit):
+    return (lat.transfer_latency_ps(same_unit, 18) + lat.mem_read_ps
+            + lat.transfer_latency_ps(same_unit, 64))
+
+
+def test_engine_table_service_takes_the_engine_compute_alone():
+    sim = tiny_sim("syncron", cores=3)
+    start = 3_000
+    acquire = Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0)
+    assert serve(sim, 0, acquire, ("core", 0, 0), start) - start == SE_SERVICE_PS
+
+
+def test_engine_memory_record_service_adds_a_read_and_a_write_of_its_line():
+    cfg = SystemConfig(num_units=1, cores_per_unit=3, st_entries=1)
+    sim = Simulation(cfg, Script(cfg))
+    sim.coords[0].coordinator.handle(Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))  # table full
+    lat = LatencyModel.create()
+    start = 3_000
+    acquire = Message(128, Opcode.LOCK_ACQUIRE_LOCAL, 1, 0)
+    assert (serve(sim, 0, acquire, ("core", 0, 1), start) - start
+            == SE_SERVICE_PS + idle_read_ps(lat, True)
+            + lat.transfer_latency_ps(True, 64) + lat.mem_write_ps)
+    assert sim.stats.mem_sync_var == 2
+
+
+def test_server_l1_miss_then_hit_service_times():
+    sim = tiny_sim("hier", cores=3)
+    lat, l1 = LatencyModel.create(), sim_module.L1_HIT_PS
+    start = 3_000
+    done = serve(sim, 0, Message(64, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0), ("core", 0, 0), start)
+    assert done - start == SE_SERVICE_PS + idle_read_ps(lat, True) + l1
+    again = serve(sim, 0, Message(64, Opcode.LOCK_RELEASE_LOCAL, 0, 0), ("core", 0, 0), done)
+    assert again - done == SE_SERVICE_PS + 2 * l1
+    cache = sim.coords[0].coordinator.cache
+    assert (cache.misses, cache.hits, sim.stats.mem_sync_var) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("link_ns", [None, 500])
+def test_central_server_fetches_a_line_from_its_home_unit(link_ns):
+    cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme="central")
+    lat = LatencyModel.create("hbm", link_latency_ns=link_ns)
+    sim = Simulation(cfg, Script(cfg), latency=lat)
+    addr = cfg.unit_mem_bytes + 0x10_000  # homed on unit 1, served on unit 0
+    start = 3_000
+    acquire = Message(addr, Opcode.LOCK_ACQUIRE_LOCAL, cfg.wire_core_id(1, 0), 0)
+    assert (serve(sim, 0, acquire, ("core", 1, 0), start) - start
+            == SE_SERVICE_PS + idle_read_ps(lat, False) + sim_module.L1_HIT_PS)
+
 def test_link_is_fifo_per_direction():
     net, _ = make_network()
     a = net.send_message(("core", 0, 0), ("coord", 1), 0)
@@ -523,7 +584,7 @@ def test_simulation_follows_scheme_axes(scheme):
     assert set(sim.coords) == units
     assert (sim.oracle is not None) == (scheme == "ideal")
     for crt in sim.coords.values():
-        assert (crt.coordinator.table is None, crt.cache is not None) == (server, server)
+        assert (crt.coordinator.table is None, crt.coordinator.cache is not None) == (server, server)
     for crt in sim.cores:
         _, unit, local = crt.node
         assert crt.wire_id == (unit << 2 | local if packed else local)
@@ -619,7 +680,7 @@ def test_cache_energy_is_server_hits_and_misses_times_rates(scheme, workload):
     sim = Simulation(cfg, make_workload(cfg, workload, seed=3))
     s = sim.run()
     en = s.energy
-    caches = [crt.cache for crt in sim.coords.values()]
+    caches = [crt.coordinator.cache for crt in sim.coords.values()]
     hits = sum(c.hits for c in caches)
     misses = sum(c.misses for c in caches)
     assert hits > 0 and misses > 0

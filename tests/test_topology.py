@@ -98,3 +98,13 @@ def test_core_id_overflow_rejected_at_startup(kwargs):
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_widest_core_id_that_fits_is_accepted(kwargs):
     SystemConfig(**kwargs)
+
+
+def test_wire_field_limits_apply_only_to_schemes_that_send_messages():
+    # a hier unit's id rides in the core id field of its *_global messages
+    with pytest.raises(ConfigError, match="core id 64"):
+        SystemConfig(scheme="hier", num_units=65, cores_per_unit=2)
+    with pytest.raises(ConfigError, match="past 64 bits"):
+        SystemConfig(scheme="hier", num_units=2, unit_mem_bytes=1 << 64)
+    SystemConfig(scheme="ideal", num_units=65, cores_per_unit=2)
+    SystemConfig(scheme="ideal", num_units=2, unit_mem_bytes=1 << 64)
