@@ -31,10 +31,13 @@ back by the same level. A variable's one VarMeta (an entry, a server's state,
 or a record: `in_memory`) is looked up once per message, checked against the
 primitive the opcode acts on, and passed along.
 
-One liveness rule: a VarMeta lives exactly while its variable is busy (a
+One life cycle: a VarMeta lives exactly while its variable is busy (a
 waiter at any level, an owner, a barrier arrival, or a semaphore count off its
-declared value, 0 while undeclared). Handlers never drop it; the end of
-_handle_inner retires an idle one, freeing its entry or ending its episode.
+declared value, 0 while undeclared). Handlers neither create nor drop it. A
+_CREATES request (an acquire-type action or a post) that finds none gets one
+from _create, on the table path or the memory path alike; the end of
+_handle_inner retires an idle one (_retire), freeing its entry or ending its
+episode. A release, signal, broadcast or grant never creates state.
 """
 
 from __future__ import annotations
@@ -64,10 +67,13 @@ _OVERFLOW_ACQUIRES = frozenset(op for op in _OVERFLOW_REQUESTS if ACTION[op] in 
 # at the OVERFLOW level (both barrier local waits become BARRIER_WAIT_OVERFLOW)
 _REDIRECTED = {op: form for op in _CLIENT_REQUESTS for form in _OVERFLOW_REQUESTS
                if (PRIMITIVE[form], ACTION[form]) == (PRIMITIVE[op], ACTION[op])}
-
-# condvar signals and broadcasts: with nothing parked anywhere they are lost
-_SIGNALS = frozenset(op for op in Opcode if ACTION[op] in (SIGNAL, BROADCAST))
-_UNLOCKS = frozenset(op for op in Opcode if PRIMITIVE[op] == LOCK and ACTION[op] == RELEASE)
+# requests that create a variable's state when they find none
+_CREATES = frozenset(op for op in Opcode if ACTION[op] in ACQUIRES or ACTION[op] == POST)
+# a non-master forwards its clients' posts, signals and broadcasts to the master
+# in their GLOBAL form: (form, info), and a post carries its one resource
+_FORWARDED = {op: (form, int(ACTION[op] == POST)) for op in _CLIENT_REQUESTS for form in Opcode
+              if ACTION[op] in (POST, SIGNAL, BROADCAST) and LEVEL[form] == GLOBAL
+              and (PRIMITIVE[form], ACTION[form]) == (PRIMITIVE[op], ACTION[op])}
 
 
 def _low_bit(mask: int) -> int:
@@ -173,16 +179,17 @@ class Coordinator:
 
     # -- entry / record management -------------------------------------------
 
-    def _get_or_reserve(self, addr: int, meta: VarMeta | None, primitive: str, out: Output):
-        """`meta`, or a fresh one of `primitive` when None; True when fresh."""
-        if meta is not None:
-            return meta, False
-        if not self.server:
+    def _create(self, addr: int, primitive: str, in_memory: bool, out: Output) -> VarMeta:
+        """State for a variable a _CREATES request found without any: a memory
+        record starts an episode, an engine reserves a table entry."""
+        if in_memory:
+            self.counters.increment(addr)
+        elif not self.server:
             assert addr not in self.enrolled, "reserve while enrolled in an overflow episode"
             self.table.reserve(addr)
             out.accesses.append(("st_reserve", addr))
-        meta = self.meta[addr] = VarMeta(primitive)
-        return meta, True
+        meta = self.meta[addr] = VarMeta(primitive, in_memory)
+        return meta
 
     def _retire(self, addr: int, meta: VarMeta, out: Output) -> None:
         """Drop an idle variable's state: free its table entry or end its memory episode."""
@@ -295,12 +302,15 @@ class Coordinator:
                 return
             meta = self._memory_path(msg, None, out)
         else:
-            _HANDLER[op](self, msg, meta, out)
+            if op in _FORWARDED and not self.is_master_for(addr):
+                self._to_master(out, addr, *_FORWARDED[op])
+            else:
+                if meta is None and op in _CREATES:
+                    meta = self._create(addr, PRIMITIVE[op], False, out)
+                _HANDLER[op](self, msg, meta, out)
             if self.server:  # read the variable's line through the L1, then write it back
                 out.accesses += (("l1" if self.cache.access(addr // LINE_BYTES) else "read", addr),
                                  ("l1", addr))
-            if meta is None:
-                meta = self.meta.get(addr)
 
         # the one liveness rule: a variable's state lives exactly while it is busy
         if meta is not None and not (meta.owner is not None or meta.locals or meta.remote_agg
@@ -366,12 +376,8 @@ class Coordinator:
         out.overflowed = True
         out.accesses.append(("read", addr))
         if meta is None:
-            if op in _SIGNALS:
-                return None  # lost signal: nothing parked anywhere
-            if op in _UNLOCKS:
-                raise ProtocolError(f"lock release for unknown variable {addr:#x}")
-            meta = self.meta[addr] = VarMeta(PRIMITIVE[op], in_memory=True)
-            self.counters.increment(addr)
+            if op in _CREATES:
+                meta = self._create(addr, PRIMITIVE[op], True, out)
         elif not meta.in_memory:
             # migrate a live entry to memory: a remote engine overflowed first
             self.table.release(addr)
@@ -383,7 +389,8 @@ class Coordinator:
             meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
 
         _HANDLER[op](self, msg, meta, out)
-        out.accesses.append(("write", addr))
+        if meta is not None:
+            out.accesses.append(("write", addr))
         return meta
 
     # -- locks -------------------------------------------------------------------
@@ -401,16 +408,16 @@ class Coordinator:
             # waking a condvar waiter: the grant carries the condvar, lock in info
             out.sends.append((node, Message(tag, Opcode.COND_GRANT_LOCAL, node[2], addr)))
 
-    def _lock_acquire(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
+    def _lock_acquire(self, msg: Message, meta: VarMeta, out: Output) -> None:
         addr = msg.addr
         level = LEVEL[msg.opcode]
         who = msg.core_id
-        meta, fresh = self._get_or_reserve(addr, meta, LOCK, out)
         if level == LOCAL and not self.is_master_for(addr):
-            # a non-master queues its cores and asks the master once for the unit
-            meta.locals |= 1 << who
-            if fresh:
+            # a non-master queues its cores and asks the master once per entry,
+            # since a live one always has a local owner or waiter
+            if meta.owner is None and not meta.locals:
                 self._to_master(out, addr, Opcode.LOCK_ACQUIRE_GLOBAL)
+            meta.locals |= 1 << who
         elif meta.owner is None:
             assert not meta.locals and not meta.remote_agg and not meta.remote_ovf
             meta.owner = (level, who)
@@ -448,12 +455,11 @@ class Coordinator:
 
     # -- barriers ------------------------------------------------------------------
 
-    def _barrier_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
+    def _barrier_wait(self, msg: Message, meta: VarMeta, out: Output) -> None:
         addr = msg.addr
         level = LEVEL[msg.opcode]
         who = msg.core_id
         info = msg.info
-        meta, _ = self._get_or_reserve(addr, meta, BARRIER, out)
         self._barrier_target(meta, info)
         if level == LOCAL:
             if meta.locals >> who & 1:
@@ -513,11 +519,10 @@ class Coordinator:
             raise ProtocolError(
                 f"semaphore initial resources re-declared: {meta.sem_declared} vs {initial}")
 
-    def _sem_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
+    def _sem_wait(self, msg: Message, meta: VarMeta, out: Output) -> None:
         addr = msg.addr
         level = LEVEL[msg.opcode]
         who = msg.core_id
-        meta, _ = self._get_or_reserve(addr, meta, SEMAPHORE, out)
         if level == LOCAL and not self.is_master_for(addr):
             meta.locals |= 1 << who
             self._to_master(out, addr, Opcode.SEM_WAIT_GLOBAL, (msg.info << 32) | 1)
@@ -531,15 +536,9 @@ class Coordinator:
             self._enqueue(meta, level, who)
         self._sem_drain(addr, meta, out)
 
-    def _sem_post(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
-        addr = msg.addr
-        level = LEVEL[msg.opcode]
-        if level == LOCAL and not self.is_master_for(addr):
-            self._to_master(out, addr, Opcode.SEM_POST_GLOBAL, 1)
-            return
-        meta, _ = self._get_or_reserve(addr, meta, SEMAPHORE, out)
-        meta.sem_count += msg.info if level == GLOBAL else 1
-        self._sem_drain(addr, meta, out)
+    def _sem_post(self, msg: Message, meta: VarMeta, out: Output) -> None:
+        meta.sem_count += msg.info if LEVEL[msg.opcode] == GLOBAL else 1
+        self._sem_drain(msg.addr, meta, out)
 
     def _sem_grant_global(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
@@ -575,22 +574,18 @@ class Coordinator:
 
     # -- condition variables -----------------------------------------------------------
 
-    def _cond_wait(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
+    def _cond_wait(self, msg: Message, meta: VarMeta, out: Output) -> None:
         addr = msg.addr
         level = LEVEL[msg.opcode]
-        meta, fresh = self._get_or_reserve(addr, meta, CONDVAR, out)
         self._cond_lock_set(meta, msg.info)
-        self._enqueue(meta, level, msg.core_id)
-        # a non-master's wait is announced exactly while its entry exists
-        if level == LOCAL and fresh and not self.is_master_for(addr):
+        # a non-master announces its wait exactly while a local core is parked
+        if level == LOCAL and not meta.locals and not self.is_master_for(addr):
             self._to_master(out, addr, Opcode.COND_WAIT_GLOBAL, msg.info)
+        self._enqueue(meta, level, msg.core_id)
 
     def _cond_signal(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake the next waiter; with none parked the signal is lost."""
         addr = msg.addr
-        if LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
-            self._to_master(out, addr, Opcode.COND_SIGNAL_GLOBAL)
-            return
         waiter = None if meta is None else self._pop_waiter(meta)
         if waiter is None:
             return
@@ -605,9 +600,6 @@ class Coordinator:
     def _cond_broadcast(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         """Wake every waiter: local cores, then overflow cores, then units."""
         addr = msg.addr
-        if LEVEL[msg.opcode] == LOCAL and not self.is_master_for(addr):
-            self._to_master(out, addr, Opcode.COND_BROAD_GLOBAL)
-            return
         if meta is None:
             return
         while meta.locals:
@@ -661,9 +653,9 @@ _ROUTE.update({Opcode.DECREASE_INDEXING_COUNTER: Coordinator._on_decrease,
                Opcode.COND_WAIT_LOCAL: Coordinator._cond_wait_request,
                Opcode.LOCK_ACQUIRE_LOCAL: Coordinator._lock_acquire_request})
 
-# the state-machine step for each opcode, called with (msg, VarMeta or None, out):
-# one per primitive and action, whatever the level; a grant comes to a
-# coordinator's state machine only as the master's answer to its unit's
+# the state-machine step for each opcode, one per primitive and action, whatever the
+# level, called with (msg, VarMeta, out); the VarMeta is None only for a request outside
+# _CREATES that found none. A grant comes here only as the master's answer to its unit's
 # GLOBAL request, and a coordinator serves no core-bound one
 _ACTIONS = {
     (LOCK, ACQUIRE): Coordinator._lock_acquire,

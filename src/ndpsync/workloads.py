@@ -443,8 +443,8 @@ WORKLOAD_NAMES = tuple(_REGISTRY)
 def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> None:
     """Reject an unknown workload, a parameter it does not take, a negative,
     empty or out-of-range parameter, or units too small to hold the data
-    region every unit carries or the workload's highest line. O(1): builds
-    nothing."""
+    region every unit carries or the workload's highest line, and a condvar
+    run whose signalers cannot wake every waiter. O(1): builds nothing."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ConfigError(f"unknown workload {name!r}; choose from {sorted(_REGISTRY)}")
@@ -453,12 +453,19 @@ def check_workload(cfg: SystemConfig, name: str, params: dict | None = None) -> 
     if unknown:
         raise ConfigError(f"workload {name!r} takes no parameter {', '.join(sorted(unknown))}; "
                           f"it takes {', '.join(sorted([*cls.defaults, *cls.client_params]))}")
-    for key, value in cls._resolve(params).items():
+    values = cls._resolve(params)
+    for key, value in values.items():
         low = 1 if key in _SIZE_PARAMS else 0
         if value < low:
             raise ConfigError(f"workload {name!r} needs {key} >= {low}, got {value}")
         if key == "sem_initial" and value >> 32:  # sem_wait_global carries it in 32 bits
             raise ConfigError(f"workload {name!r} needs sem_initial < 2**32, got {value}")
+    if cls is CondvarMicro and values["iterations"]:  # every wake takes a signal of its own
+        waiters = max(1, cfg.total_clients // 2)
+        if (cfg.total_clients - waiters) * values["signal_cap"] < waiters * values["iterations"]:
+            raise ConfigError(f"workload 'condvar' can never finish: {cfg.total_clients - waiters} "
+                              f"signalers x signal_cap {values['signal_cap']} < {waiters} waiters "
+                              f"x iterations {values['iterations']}")
     for key in cls.client_params:
         if key in params and not 0 < int(params[key]) <= cfg.total_clients:
             raise ConfigError(f"workload {name!r} needs {key} in 1..{cfg.total_clients}, got {params[key]}")

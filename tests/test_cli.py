@@ -13,6 +13,7 @@ from ndpsync import cli
 from ndpsync.engine import WAKE_ALL
 from ndpsync.errors import ConfigError
 from ndpsync.sim import _JSONL_CHUNK, TraceRecord
+from ndpsync.topology import SCHEMES
 
 SMALL = ["--units", "2", "--cores-per-unit", "4"]
 
@@ -454,6 +455,38 @@ def test_widest_message_fields_run_traced(tmp_path, body):
     ini = tmp_path / "edge.ini"
     ini.write_text(body)
     assert cli.main(["--config", str(ini), "--verify", "--out", str(tmp_path)]) == 0
+
+
+# a condvar run needs a signal for every wake; one client is a waiter with no signaler
+CONDVAR_SHORT = {
+    "one-client-flag": (["--workload", "condvar", "--units", "1", "--cores-per-unit", "2"], ""),
+    "one-client-later-in-sweep": (["--workload", "condvar", "--units", "1",
+                                   "--sweep", "cores_per_unit=3,2"], ""),
+    "signal-cap-0-ini": ([], "[system]\nunits = 2\ncores_per_unit = 4\n"
+                             "[workload]\nname = condvar\nsignal_cap = 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", CONDVAR_SHORT)
+def test_condvar_run_short_of_signals_exits_2_before_first_run(tmp_path, capsys, case):
+    argv, body = CONDVAR_SHORT[case]
+    if body:
+        ini = tmp_path / "condvar.ini"
+        ini.write_text(body)
+        argv = ["--config", str(ini)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--scheme", "ideal", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert "[0]" not in stdout and "Traceback" not in err
+    assert err.startswith("error: workload 'condvar' can never finish: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_two_client_condvar_runs_verified(tmp_path, scheme):
+    # one waiter, one signaler: the smallest condvar run that can finish
+    assert cli.main(["--workload", "condvar", "--units", "1", "--cores-per-unit", "3",
+                     "--scheme", scheme, "--verify", "--out", str(tmp_path)]) == 0
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):

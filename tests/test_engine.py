@@ -3,7 +3,7 @@ import pytest
 from ndpsync.cli import RunConfig, run_once
 from ndpsync.engine import WAKE_ALL, Coordinator
 from ndpsync.errors import ProtocolError
-from ndpsync.messages import LOCAL, Message, Opcode
+from ndpsync.messages import ACQUIRES, ACTION, LOCAL, POST, Message, Opcode
 from ndpsync.sim import Simulation
 from ndpsync.topology import SCHEMES, SystemConfig
 from ndpsync.verifier import verify_trace
@@ -686,7 +686,7 @@ def test_overflow_grant_for_another_units_core_rejected():
 def test_lock_release_for_unknown_variable_on_the_memory_path_rejected():
     coord = coordinator(0, st_entries=1)
     coord.handle(Message(0x80, Opcode.LOCK_ACQUIRE_LOCAL, 0, 0))  # fills the table
-    with pytest.raises(ProtocolError, match="^lock release for unknown variable 0x40$"):
+    with pytest.raises(ProtocolError, match=r"^lock 0x40 released by non-owner \('core', 0, 1\)$"):
         coord.handle(Message(0x40, Opcode.LOCK_RELEASE_LOCAL, 1, 0))
     assert list(coord.meta) == [0x80] and coord.counters.total() == 0
 
@@ -722,7 +722,13 @@ def test_every_live_variable_is_busy_and_every_entry_is_live(monkeypatch, units,
     handle = Coordinator.handle
 
     def checked(coord, msg):
+        before = set(coord.meta)
         out = handle(coord, msg)
+        # only an acquire-type request or a post creates state, and only its own
+        gained = coord.meta.keys() - before
+        assert not gained or (gained == {msg.addr} and (ACTION[msg.opcode] in ACQUIRES
+                                                        or ACTION[msg.opcode] == POST)), (
+            coord.unit, msg, gained)
         idle = [hex(addr) for addr, meta in coord.meta.items() if not busy(meta)]
         assert not idle, (coord.unit, msg, idle)
         if coord.table is not None:

@@ -90,7 +90,7 @@ def test_core_id_overflow_rejected_at_startup(kwargs):
     {"scheme": "syncron", "num_units": 4, "clients_per_unit": 16},  # packed id 63
     {"scheme": "flat"},
     {"scheme": "central"},
-    {"scheme": "hier", "num_units": 8},       # only local ids go on the wire
+    {"scheme": "hier", "num_units": 8},       # unit ids 0..7 ride its *_global messages
     {"scheme": "hier", "num_units": 1, "cores_per_unit": 65},  # local ids 0..63
     {"scheme": "syncron", "num_units": 1, "cores_per_unit": 65},  # packed ids 0..63
     {"scheme": "ideal", "num_units": 8},      # no messages at all

@@ -86,6 +86,15 @@ def test_barrier_participant_validation():
                       params={"participants": cfg.total_clients + 1})
 
 
+def test_condvar_needs_a_signal_for_every_wake():
+    cfg = SystemConfig(num_units=1, cores_per_unit=3)  # one waiter, one signaler
+    make_workload(cfg, "condvar", params={"iterations": 10, "signal_cap": 10})
+    with pytest.raises(ConfigError, match="1 signalers x signal_cap 9 < 1 waiters x iterations 10"):
+        make_workload(cfg, "condvar", params={"iterations": 10, "signal_cap": 9})
+    # with no iterations, a waiter with no signaler has nothing to wait for
+    make_workload(SystemConfig(num_units=1, cores_per_unit=2), "condvar", params={"iterations": 0})
+
+
 def test_partial_barrier_subset_only_waits():
     sim = run("syncron", "barrier", seed=0,
               params={"participants": 3, "iterations": 2})

@@ -6,13 +6,13 @@ Profiles, with the standard library's cProfile, ``ndpsync.cli.run_once`` for
 each run of the workload in ``perfbench/suite.py`` order, plus
 ``verifier.verify_trace`` for the runs the benchmark verifies, and prints the
 total number of calls, built-ins included. The count does not depend on host
-load, so two commits compare with one invocation each.
+load or on the process's memory layout, so two commits compare with one
+invocation each.
 """
 
 import argparse
 import cProfile
 import os
-import pstats
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -26,6 +26,13 @@ from ndpsync import cli  # noqa: E402
 from ndpsync.verifier import verify_trace  # noqa: E402
 
 
+def total_calls(profile):
+    """Calls `profile` recorded, summed over its entries, one per code object or
+    built-in. (pstats keys entries by file, line and name and keeps one per key,
+    so every dataclass's generated `<string>:2:__init__` but one would be lost.)"""
+    return sum(entry.callcount for entry in profile.getstats())
+
+
 def count_calls(workload, seed):
     """Total calls over the workload's runs at `seed`."""
     profile = cProfile.Profile()
@@ -33,7 +40,7 @@ def count_calls(workload, seed):
         _, sim = profile.runcall(cli.run_once, suite.run_config(run), trace=run["traced"])
         if "--verify" in run["flags"]:
             profile.runcall(verify_trace, sim.trace, sim.workload.expected_ops())
-    return pstats.Stats(profile).total_calls
+    return total_calls(profile)
 
 
 def main():
