@@ -17,7 +17,7 @@ crossbar. Every message and both legs of a memory access take it.
 
 Simulation._start_service prices a coordinator's service in one loop over its
 account (engine.Output.accesses): SE_SERVICE_PS, then, in order, an L1 hit, a
-Network.memory_access or a table occupancy sample per access.
+Network.memory_access, or the start or end of a table entry's life per access.
 
 Delivery between any ordered pair of endpoints is in-order: arrival times
 are clamped to be non-decreasing per (source, destination) pair, which the
@@ -53,7 +53,7 @@ from .baselines import IdealOracle
 from .engine import Coordinator
 from .errors import ConfigError, ProtocolError, SimulationDeadlock
 from .messages import (ACQUIRES, ACTION, GRANT, LEVEL, LOCAL, MESSAGE_BYTES, PRIMITIVE,
-                       SYNC_REQUESTS, Message, Opcode, encode)
+                       Message, Opcode, encode)
 from .topology import LINE_BYTES, SystemConfig, master_se_of
 
 CORE_CYCLE_PS = 400
@@ -373,8 +373,7 @@ class _Core:
 
 
 class _Coord:
-    __slots__ = ("coordinator", "inbox", "busy", "node", "key", "occ_acc", "occ_last_t",
-                 "occ_level", "occ_max")
+    __slots__ = ("coordinator", "inbox", "busy", "node", "key", "entry_ps", "occ_max")
 
     def __init__(self, coordinator: Coordinator):
         self.coordinator = coordinator
@@ -382,10 +381,8 @@ class _Coord:
         self.busy = False
         self.node = ("coord", coordinator.unit)
         self.key = COORD_KEY_BASE + coordinator.unit
-        self.occ_acc = 0
-        self.occ_last_t = 0
-        self.occ_level = 0  # table occupancy at the last sample
-        self.occ_max = 0
+        self.entry_ps = 0  # sum of released entries' lifetimes, minus live entries' reserve times
+        self.occ_max = 0  # the most entries held after a service
 
 
 class Simulation:
@@ -431,16 +428,13 @@ class Simulation:
         self._seq += 1
         heappush(self._heap, (t, rank, key, self._seq, node, payload))
 
-    def _trace(self, t: int, kind: str, unit: int, local: int, addr: int, info: int = 0) -> None:
-        """Append one record; callers test trace_enabled first."""
-        self.trace.append(TraceRecord(t, kind, unit, local, addr, info))
-
     def _send(self, src_node, dst_node, msg: Message, t: int) -> None:
         self._sent[msg.opcode] += 1
         if self.trace_enabled:
             self.wire_log += encode(msg)
-            self._trace(t, "msg_send", src_node[1], src_node[2] if src_node[0] == "core" else -1,
-                        msg.addr, int(msg.opcode))
+            self.trace.append(TraceRecord(t, "msg_send", src_node[1],
+                                          src_node[2] if src_node[0] == "core" else -1,
+                                          msg.addr, int(msg.opcode)))
         if self.drop_filter is not None and self.drop_filter(msg, src_node, dst_node):
             return
         arrival = self.network.send_message(src_node, dst_node, t)
@@ -488,9 +482,9 @@ class Simulation:
                 self.stats.cache_hits += crt.coordinator.cache.hits
                 self.stats.cache_misses += crt.coordinator.cache.misses
                 continue
-            self._occ_sample(crt, end)
             denom = end * table.capacity
-            self.stats.st_avg_occupancy.append(crt.occ_acc / denom if denom else 0.0)
+            entry_ps = crt.entry_ps + end * table.occupied_count  # live entries end at `end`
+            self.stats.st_avg_occupancy.append(entry_ps / denom if denom else 0.0)
             self.stats.st_max_occupancy.append(crt.occ_max / table.capacity)
             self.stats.counters_end_total += crt.coordinator.counters.total()
         self.stats.completed_ops = self.workload.completed_ops
@@ -514,8 +508,8 @@ class Simulation:
                 self.stats.ops[kind] += 1
                 if tracing:
                     if kind == "cond_wait":  # the waiter wakes holding its lock again
-                        self._trace(t, "cs_enter", unit, local, b[2])
-                    self._trace(t, _REQUEST[kind][2], unit, local, *b[1:])
+                        self.trace.append(TraceRecord(t, "cs_enter", unit, local, b[2]))
+                    self.trace.append(TraceRecord(t, _REQUEST[kind][2], unit, local, *b[1:]))
             try:
                 step = next(crt.gen)
             except StopIteration:
@@ -534,7 +528,7 @@ class Simulation:
                     master_se_of(self.cfg, addr)  # raises: the address is outside system memory
                 done = self.network.memory_access(unit, home, write, t)
                 if tracing:
-                    self._trace(t, "mem_op", unit, local, addr, int(write))
+                    self.trace.append(TraceRecord(t, "mem_op", unit, local, addr, int(write)))
                 self._push(done, MEM, crt.key, crt.node, crt)
                 return
             if not self._issue(crt, step, t):
@@ -564,10 +558,10 @@ class Simulation:
         if note is not None and self.trace_enabled:
             _, unit, local = crt.node
             if kind == "cond_wait":
-                self._trace(t, "cs_exit", unit, local, info)
-                self._trace(t, note, unit, local, addr, info)
+                self.trace.append(TraceRecord(t, "cs_exit", unit, local, info))
+                self.trace.append(TraceRecord(t, note, unit, local, addr, info))
             else:
-                self._trace(t, note, unit, local, addr)
+                self.trace.append(TraceRecord(t, note, unit, local, addr))
         if self.oracle is not None:
             return getattr(self.oracle, kind)(crt.node, addr, info)
         if kind == "barrier_wait" and step[3]:
@@ -579,24 +573,23 @@ class Simulation:
     # -- coordinators --------------------------------------------------------------------
 
     def _on_msg(self, node, payload, t: int) -> None:
+        msg = payload[0]
+        if self.trace_enabled and msg != "wake":  # an oracle wake is no message
+            self.trace.append(TraceRecord(t, "msg_recv", node[1],
+                                          node[2] if node[0] == "core" else -1,
+                                          msg.addr, int(msg.opcode)))
         if node[0] == "coord":
-            if self.trace_enabled:
-                msg = payload[0]
-                self._trace(t, "msg_recv", node[1], -1, msg.addr, int(msg.opcode))
             self._intake(self.coords[node[1]], payload, t)
             return
         crt = self._at[node]
-        if payload[0] == "wake":
+        if msg == "wake":
             _, kind, addr = payload
         else:
-            msg = payload[0]
-            if self.trace_enabled:
-                self._trace(t, "msg_recv", node[1], node[2], msg.addr, int(msg.opcode))
             kind = _GRANT_KIND.get(msg.opcode)
             addr = msg.addr
         b = crt.blocked
         if b is None or b[0] != kind or b[1] != addr:
-            what = f"wake {kind}" if payload[0] == "wake" else payload[0].opcode.name
+            what = f"wake {kind}" if msg == "wake" else msg.opcode.name
             raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {node}")
         self._advance(crt, t)
 
@@ -612,18 +605,11 @@ class Simulation:
         if not crt.busy:
             self._start_service(crt, t)
 
-    def _occ_sample(self, crt: _Coord, t: int) -> None:
-        """Close the occupancy step since the last sample; exact when called at each change."""
-        crt.occ_acc += (t - crt.occ_last_t) * crt.occ_level
-        crt.occ_last_t = t
-        crt.occ_level = crt.coordinator.table.occupied_count
-        crt.occ_max = max(crt.occ_max, crt.occ_level)
-
     def _start_service(self, crt: _Coord, t: int) -> None:
         msg, src = crt.inbox.popleft()
         coord = crt.coordinator
         out = coord.handle(msg)
-        if src[0] == "core" and msg.opcode in SYNC_REQUESTS:
+        if src[0] == "core":  # every opcode a core sends is a synchronization request
             self.stats.sync_requests += 1
             if out.overflowed:
                 self.stats.sync_overflowed += 1
@@ -635,10 +621,15 @@ class Simulation:
             elif kind == "read" or kind == "write":
                 cursor = self.network.memory_access(coord.unit, addr // self.cfg.unit_mem_bytes,
                                                     kind == "write", cursor, sync_var=True)
-            else:  # a table reserve or release: occupancy changes from t
-                self._occ_sample(crt, t)
+            else:  # a table entry's life starts or ends at t
+                if kind == "st_reserve":
+                    crt.entry_ps -= t
+                    if coord.table.occupied_count > crt.occ_max:  # the level after handle
+                        crt.occ_max = coord.table.occupied_count
+                else:
+                    crt.entry_ps += t
                 if self.trace_enabled:
-                    self._trace(t, kind, coord.unit, -1, addr)
+                    self.trace.append(TraceRecord(t, kind, coord.unit, -1, addr))
 
         crt.busy = True
         self._seq += 1

@@ -293,8 +293,6 @@ class QueuePop(Workload):
         super().__init__(cfg, seed, params)
         self.head_lock = self._sync_addr(0, 0)
         self.head_ptr_addr = self._data_addr(0, 0)
-        total = cfg.total_clients * self.ops_per_core
-        self.values = list(range(total + 8))
         self.head = 0
 
     @classmethod
@@ -314,8 +312,9 @@ class QueuePop(Workload):
             self.completed_ops += 1
 
     def digest(self):
+        total = self.cfg.total_clients * self.ops_per_core
         return _canon_digest({"workload": self.name, "head": self.head,
-                              "remaining": self.values[self.head:]})
+                              "remaining": list(range(self.head, total + 8))})
 
 
 class ArrayMap(Workload):

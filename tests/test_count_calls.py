@@ -43,3 +43,19 @@ def test_dataclass_constructors_sharing_a_label_are_each_counted():
         return total_calls(profile)
 
     assert profiled(7, 19) - profiled(0, 0) == 7 + 19
+
+
+def test_messages_are_the_runs_unprofiled_total(monkeypatch):
+    tool = load_tool()
+    small = [{"scheme": scheme, "workload": "lock", "units": 2, "cores_per_unit": 4,
+              "st_entries": 4, "seed": 3, "traced": traced, "flags": flags}
+             for scheme, traced, flags in (("syncron", False, ()),
+                                           ("flat", True, ("--trace", "--verify")))]
+    monkeypatch.setattr(tool.suite, "runs", lambda workload, seed: small)
+    calls, messages = tool.count_calls("hot_sync", 7)
+    expected = 0
+    for run in small:
+        stats, _ = tool.cli.run_once(tool.suite.run_config(run), trace=run["traced"])
+        expected += stats.messages_intra + stats.messages_inter
+    assert messages == expected > 0
+    assert calls > messages

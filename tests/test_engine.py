@@ -3,7 +3,7 @@ import pytest
 from ndpsync.cli import RunConfig, run_once
 from ndpsync.engine import WAKE_ALL, Coordinator
 from ndpsync.errors import ProtocolError
-from ndpsync.messages import ACQUIRES, ACTION, LOCAL, POST, Message, Opcode
+from ndpsync.messages import ACQUIRES, ACTION, LOCAL, POST, Message, Opcode, pack_core
 from ndpsync.sim import Simulation
 from ndpsync.topology import SCHEMES, SystemConfig
 from ndpsync.verifier import verify_trace
@@ -151,6 +151,23 @@ def test_release_global_by_non_owner_rejected():
     with pytest.raises(ProtocolError):
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
         coord.handle(Message(64, Opcode.LOCK_RELEASE_GLOBAL, 1, 0))
+
+
+def test_overflow_grant_for_a_non_client_core_rejected():
+    cfg = SystemConfig(num_units=2, cores_per_unit=4)  # local clients 0..2
+    coord = Coordinator(cfg, 1)
+    grant = Message(0x10000, Opcode.LOCK_GRANT_OVERFLOW, pack_core(1, 3, coord.core_bits), 0)
+    with pytest.raises(ProtocolError, match=r"^core id 3 names no client of coordinator 1$"):
+        coord.handle(grant)
+
+
+def test_overflow_release_by_non_owner_names_the_packed_core():
+    cfg = SystemConfig(num_units=2, cores_per_unit=4)
+    coord = Coordinator(cfg, 0)
+    release = Message(0x10000, Opcode.LOCK_RELEASE_OVERFLOW, pack_core(1, 2, coord.core_bits), 0)
+    with pytest.raises(ProtocolError,
+                       match=r"^lock 0x10000 released by non-owner \('core', 1, 2\)$"):
+        coord.handle(release)
 
 
 def sent(out, op):

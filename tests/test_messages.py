@@ -72,6 +72,11 @@ def test_encode_rejects_out_of_range_fields():
         encode(Message(0, Opcode.LOCK_ACQUIRE_LOCAL, 0, 1 << 64))
 
 
+def test_encode_rejects_unknown_opcode():
+    with pytest.raises(CodecError, match="^unknown opcode 38$"):  # one past the last
+        encode(Message(0, 38, 0, 0))
+
+
 def test_decode_rejects_wrong_length():
     with pytest.raises(CodecError):
         decode(b"\x00" * 17)

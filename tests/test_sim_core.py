@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import ndpsync.sim as sim_module
 from ndpsync.baselines import IdealOracle
 from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
-from ndpsync.messages import ACQUIRES, ACTION, Message, Opcode
+from ndpsync.messages import ACQUIRES, ACTION, SYNC_REQUESTS, Message, Opcode
 from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_PS, SERVICE,
                          EnergyModel, LatencyModel, Network, Simulation, Stats)
 from ndpsync.topology import SystemConfig
@@ -414,6 +415,70 @@ def test_table_occupancy_is_integrated_exactly():
     assert stats.st_max_occupancy == [2 / 4]
 
 
+def occupancy_from_entry_lifetimes(sim):
+    """Each table's (average, max) occupancy from the trace's st_* records alone:
+    the entry-ps is every released entry's lifetime plus each entry still
+    reserved up to the end; the max is the most entries held after one
+    instant's records."""
+    end = sim.stats.time_ps
+    capacity = sim.cfg.st_entries
+    avg, top = [], []
+    for unit in sorted(sim.coords):
+        entry_ps = live = most = 0
+        records = [r for r in sim.trace if r.unit == unit and r.kind in ("st_reserve", "st_release")]
+        for _, group in itertools.groupby(records, key=lambda r: r.t):
+            for r in group:
+                if r.kind == "st_reserve":
+                    entry_ps -= r.t
+                    live += 1
+                else:
+                    entry_ps += r.t
+                    live -= 1
+            most = max(most, live)
+        avg.append((entry_ps + end * live) / (end * capacity))
+        top.append(most / capacity)
+    return avg, top
+
+
+@pytest.mark.parametrize("units", (2, 4))
+@pytest.mark.parametrize("st_entries", (1, 4))
+@pytest.mark.parametrize("workload", ("hash_table", "linked_list"))
+@pytest.mark.parametrize("scheme", ("syncron", "flat"))
+def test_table_occupancy_is_the_traced_entry_lifetimes(scheme, workload, st_entries, units):
+    cfg = SystemConfig(num_units=units, cores_per_unit=4, scheme=scheme, st_entries=st_entries)
+    sim = Simulation(cfg, make_workload(cfg, workload, 3), trace=True)
+    stats = sim.run()
+    assert any(r.kind == "st_reserve" for r in sim.trace)
+    assert (stats.st_avg_occupancy, stats.st_max_occupancy) == occupancy_from_entry_lifetimes(sim)
+
+
+def test_an_entry_reserved_and_released_in_one_service_adds_no_occupancy():
+    # a one-participant barrier completes at its arrival: the service that
+    # reserves the entry releases it too
+    cfg = SystemConfig(num_units=2, cores_per_unit=4, st_entries=4)
+    sim = Simulation(cfg, make_workload(cfg, "barrier", 3, {"participants": 1, "iterations": 3}),
+                     trace=True)
+    stats = sim.run()
+    table = [(r.t, r.kind, r.unit) for r in sim.trace if r.kind.startswith("st_")]
+    assert table[:2] == [(85_200, "st_reserve", 0), (85_200, "st_release", 0)]
+    assert len(table) == 6 and table[::2] == [(t, "st_reserve", u) for t, _, u in table[1::2]]
+    assert stats.st_avg_occupancy == [0.0, 0.0]
+    assert stats.st_max_occupancy == [0.0, 0.0]
+
+
+def test_an_entry_still_reserved_counts_until_the_run_ends():
+    # the unmatched post takes an entry at 800 (its request arrives) and keeps
+    # it; core 1's 50-instruction compute ends the run at 20_000
+    cfg = SystemConfig(num_units=1, cores_per_unit=3, st_entries=4)
+    steps = {0: [("sem_post", 64)], 1: [("compute", 50)]}
+    sim = Simulation(cfg, Script(cfg, steps), trace=True)
+    stats = sim.run()
+    assert [(r.t, r.kind) for r in sim.trace if r.kind.startswith("st_")] == [(800, "st_reserve")]
+    assert stats.time_ps == 20_000
+    assert stats.st_avg_occupancy == [0.24]  # (20_000 - 800) / (20_000 * 4)
+    assert stats.st_max_occupancy == [0.25]
+
+
 def test_stats_dict_shape():
     sim = tiny_sim(steps={0: [("lock_acquire", 64), ("lock_release", 64)]})
     d = sim.run().to_dict()
@@ -494,6 +559,12 @@ def test_each_local_grant_completes_its_primitives_blocking_step():
         Opcode.SEM_GRANT_LOCAL: "sem_wait",
         Opcode.COND_GRANT_LOCAL: "cond_wait",
     }
+
+
+def test_every_opcode_a_core_sends_is_a_synchronization_request():
+    # so _start_service counts each message from a core as one
+    sent = {opc for opc, _, _ in sim_module._REQUEST.values()}
+    assert sent | {Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT} <= SYNC_REQUESTS
 
 
 def test_a_step_blocks_exactly_when_its_request_is_an_acquire():

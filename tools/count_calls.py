@@ -5,9 +5,10 @@
 Profiles, with the standard library's cProfile, ``ndpsync.cli.run_once`` for
 each run of the workload in ``perfbench/suite.py`` order, plus
 ``verifier.verify_trace`` for the runs the benchmark verifies, and prints the
-total number of calls, built-ins included. The count does not depend on host
-load or on the process's memory layout, so two commits compare with one
-invocation each.
+total number of calls, built-ins included, the simulated messages of those runs
+(``messages_intra + messages_inter``) and the calls per message. The count does
+not depend on host load or on the process's memory layout, so two commits
+compare with one invocation each.
 """
 
 import argparse
@@ -34,13 +35,16 @@ def total_calls(profile):
 
 
 def count_calls(workload, seed):
-    """Total calls over the workload's runs at `seed`."""
+    """(total calls, simulated messages) over the workload's runs at `seed`; the
+    messages are summed outside the profiler, so they add no calls."""
     profile = cProfile.Profile()
+    messages = 0
     for run in suite.runs(workload, seed):
-        _, sim = profile.runcall(cli.run_once, suite.run_config(run), trace=run["traced"])
+        stats, sim = profile.runcall(cli.run_once, suite.run_config(run), trace=run["traced"])
+        messages += stats.messages_intra + stats.messages_inter
         if "--verify" in run["flags"]:
             profile.runcall(verify_trace, sim.trace, sim.workload.expected_ops())
-    return total_calls(profile)
+    return total_calls(profile), messages
 
 
 def main():
@@ -48,7 +52,9 @@ def main():
     parser.add_argument("--workload", required=True, choices=sorted(suite.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
-    print(f"{args.workload} seed {args.seed}: {count_calls(args.workload, args.seed):,} calls")
+    calls, messages = count_calls(args.workload, args.seed)
+    print(f"{args.workload} seed {args.seed}: {calls:,} calls, {messages:,} messages, "
+          f"{calls / messages:.1f} calls per message")
 
 
 if __name__ == "__main__":
