@@ -19,7 +19,10 @@ Table overflow (engines): when a variable cannot live in the table, the
 master services it via a memory-resident record; non-master engines
 redirect requests with *_overflow opcodes carrying a packed {unit, core}
 id and track the episode in their indexing counters until the master
-broadcasts decrease_indexing_counter at quiescence.
+broadcasts decrease_indexing_counter at quiescence. _handle_inner decides once
+per message which path serves it, the record or the table entry; the overflow
+grant that wakes a redirected core and the decrease are handlers like the rest,
+served with no VarMeta.
 
 One handler serves each primitive action at every level. An opcode's
 primitive, action and level come from messages.py, the one module that reads
@@ -46,8 +49,8 @@ from dataclasses import dataclass, field
 
 from .baselines import ServerCache
 from .errors import ProtocolError
-from .messages import (ACQUIRE, ACQUIRES, ACTION, BARRIER, BROADCAST, CONDVAR, GLOBAL, GRANT,
-                       LEVEL, LOCAL, LOCK, OVERFLOW, POST, PRIMITIVE, RELEASE, SEMAPHORE,
+from .messages import (ACQUIRE, ACQUIRES, ACTION, BARRIER, BROADCAST, CONDVAR, DECREASE, GLOBAL,
+                       GRANT, LEVEL, LOCAL, LOCK, OVERFLOW, POST, PRIMITIVE, RELEASE, SEMAPHORE,
                        SIGNAL, SYNC_REQUESTS, WAIT, Message, Opcode, core_id_bits, pack_core,
                        unpack_core)
 from .sync_table import IndexingCounters, SynchronizationTable
@@ -56,6 +59,10 @@ from .topology import LINE_BYTES, SystemConfig, master_se_of
 # info value on a cond grant that wakes every parked waiter of a unit
 WAKE_ALL = (1 << 64) - 1
 
+# the opcodes handle() tests, bound once: EnumType defines __getattr__, which makes
+# every Opcode.X lookup slow (over ten times a global's load on Python 3.11)
+_COND_WAIT_LOCAL, _LOCK_ACQUIRE_LOCAL = Opcode.COND_WAIT_LOCAL, Opcode.LOCK_ACQUIRE_LOCAL
+_LOCK_RELEASE_LOCAL = Opcode.LOCK_RELEASE_LOCAL
 _LOCK_GRANT = (Opcode.LOCK_GRANT_LOCAL, Opcode.LOCK_GRANT_GLOBAL, Opcode.LOCK_GRANT_OVERFLOW)
 # requests whose core id must name a client of the receiving coordinator
 _CLIENT_REQUESTS = frozenset(op for op in SYNC_REQUESTS if LEVEL[op] == LOCAL)
@@ -253,30 +260,25 @@ class Coordinator:
     def handle(self, msg: Message) -> Output:
         """Serve one message. Its core id names the requester at every level."""
         out = Output()
-        _ROUTE[msg.opcode](self, msg, out)
-        return out
-
-    def _cond_wait_request(self, msg: Message, out: Output) -> None:
-        # release the named lock on the caller's behalf before parking
-        lock = msg.info
-        if self.direct and master_se_of(self.cfg, lock) != self.unit:
-            # the lock lives at another master: release it there, ahead of the
-            # re-acquisition that _start_resume sends it on a wake
-            self._to_unit(out, master_se_of(self.cfg, lock), lock, Opcode.LOCK_RELEASE_LOCAL,
-                          msg.core_id)
-        else:
-            self._handle_inner(msg._replace(addr=lock, opcode=Opcode.LOCK_RELEASE_LOCAL, info=0),
-                               out)
-        self._handle_inner(msg, out)
-
-    def _lock_acquire_request(self, msg: Message, out: Output) -> None:
-        if msg.info:
-            # lock re-acquisition for a condvar waiter: the grant must wake
-            # the condvar wait, not a plain acquire
+        op = msg.opcode
+        if op is _COND_WAIT_LOCAL:
+            # release the named lock on the caller's behalf before parking
+            lock = msg.info
+            if self.direct and (master := master_se_of(self.cfg, lock)) != self.unit:
+                # the lock lives at another master: release it there, ahead of the
+                # re-acquisition that _start_resume sends it on a wake
+                self._to_unit(out, master, lock, _LOCK_RELEASE_LOCAL, msg.core_id)
+            else:
+                self._handle_inner(msg._replace(addr=lock, opcode=_LOCK_RELEASE_LOCAL, info=0),
+                                   out)
+        elif op is _LOCK_ACQUIRE_LOCAL and msg.info:
+            # a condvar waiter's lock re-acquisition: its grant wakes the cond wait
             self.cond_resume[msg.core_id] = msg.info
         self._handle_inner(msg, out)
+        return out
 
     def _handle_inner(self, msg: Message, out: Output) -> None:
+        """Serve `msg` into `out`; a cond wait's lock release re-enters here."""
         addr = msg.addr
         op = msg.opcode
         if op in _CLIENT_REQUESTS and msg.core_id not in self.clients:
@@ -287,20 +289,42 @@ class Coordinator:
             raise ProtocolError(
                 f"variable {addr:#x} used as {PRIMITIVE[op]} but live as {meta.primitive}")
 
+        # the one path decision: the master's memory record, or a table entry or server state
         if op in _OVERFLOW_REQUESTS:
             if self.server or not self.is_master_for(addr):
                 where = ("a coordinator with no memory path" if self.server
                          else "a non-master coordinator")
                 raise ProtocolError(f"{op.name} delivered to {where}")
-            meta = self._memory_path(msg, meta, out)
-        elif meta is not None and meta.in_memory:
-            self._memory_path(msg, meta, out)
-        elif (meta is None and not self.server and op in SYNC_REQUESTS
+            in_memory = True
+        elif meta is not None:
+            in_memory = meta.in_memory
+        elif (not self.server and op in SYNC_REQUESTS
               and (self.table.full() or self.counters.get(addr) > 0)):
             if not self.is_master_for(addr):
                 self._redirect(msg, out)
                 return
-            meta = self._memory_path(msg, None, out)
+            in_memory = True
+        else:
+            in_memory = False
+
+        if in_memory:
+            out.overflowed = True
+            out.accesses.append(("read", addr))
+            if meta is None:
+                if op in _CREATES:
+                    meta = self._create(addr, PRIMITIVE[op], True, out)
+            elif not meta.in_memory:
+                # migrate a live entry to memory: a remote engine overflowed first
+                self.table.release(addr)
+                out.accesses.append(("st_release", addr))
+                meta.in_memory = True
+                self.counters.increment(addr)
+            if op in _OVERFLOW_ACQUIRES:
+                # the redirecting unit enrolled in the episode: it is owed a decrease
+                meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
+            _HANDLER[op](self, msg, meta, out)
+            if meta is not None:  # a lost signal finds no record and writes nothing
+                out.accesses.append(("write", addr))
         else:
             if op in _FORWARDED and not self.is_master_for(addr):
                 self._to_master(out, addr, *_FORWARDED[op])
@@ -336,7 +360,7 @@ class Coordinator:
         self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, form,
                       pack_core(unit, local, self.core_bits), msg.info)
 
-    def _on_decrease(self, msg: Message, out: Output) -> None:
+    def _on_decrease(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         n = self.enrolled.get(addr)
         if n is None:
@@ -347,7 +371,7 @@ class Coordinator:
         del self.enrolled[addr]
         self.counters.decrement(addr)
 
-    def _deliver_overflow_wake(self, msg: Message, out: Output) -> None:
+    def _deliver_overflow_wake(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
         unit, local = unpack_core(msg.core_id, self.core_bits)
         if unit != self.unit:
@@ -367,31 +391,6 @@ class Coordinator:
             self._send(out, LOCAL, local, addr, Opcode.BARRIER_DEPART_LOCAL)
         else:
             self._start_resume(local, addr, msg.info, out)
-
-    def _memory_path(self, msg: Message, meta: VarMeta | None, out: Output) -> VarMeta | None:
-        """Master services the variable, `meta` if live, from its local memory.
-        Returns its record, or None for a lost signal, which writes nothing."""
-        addr = msg.addr
-        op = msg.opcode
-        out.overflowed = True
-        out.accesses.append(("read", addr))
-        if meta is None:
-            if op in _CREATES:
-                meta = self._create(addr, PRIMITIVE[op], True, out)
-        elif not meta.in_memory:
-            # migrate a live entry to memory: a remote engine overflowed first
-            self.table.release(addr)
-            out.accesses.append(("st_release", addr))
-            meta.in_memory = True
-            self.counters.increment(addr)
-        if op in _OVERFLOW_ACQUIRES:
-            # the redirecting unit enrolled in the episode: it is owed a decrease
-            meta.ovf_units |= 1 << (msg.core_id >> self.core_bits)
-
-        _HANDLER[op](self, msg, meta, out)
-        if meta is not None:
-            out.accesses.append(("write", addr))
-        return meta
 
     # -- locks -------------------------------------------------------------------
 
@@ -633,30 +632,20 @@ class Coordinator:
         """Wake one waiter: re-acquire its lock, then deliver the cond grant."""
         if lock_addr == 0:
             raise ProtocolError(f"condvar {cv_addr:#x} woken without an associated lock")
-        if self.direct and master_se_of(self.cfg, lock_addr) != self.unit:
+        if self.direct and (master := master_se_of(self.cfg, lock_addr)) != self.unit:
             # the lock lives at another master: re-acquire over the wire
-            self._to_unit(out, master_se_of(self.cfg, lock_addr), lock_addr,
-                          Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr)
+            self._to_unit(out, master, lock_addr, _LOCK_ACQUIRE_LOCAL, core_id, cv_addr)
         else:
-            out.internal.append(Message(lock_addr, Opcode.LOCK_ACQUIRE_LOCAL, core_id, cv_addr))
+            out.internal.append(Message(lock_addr, _LOCK_ACQUIRE_LOCAL, core_id, cv_addr))
 
-
-# handle()'s entry point for each opcode. Overflow grants wake the redirected
-# core, the counter decrease updates the indexing counters, and two local
-# requests need set-up before _handle_inner: a cond wait releases its lock, and
-# a lock acquire may resume a condvar waiter. _handle_inner serves the rest,
-# overflow requests included. This table and _HANDLER are each indexed once per
-# message, in place of chains of `op is Opcode.X` tests (an EnumType.__getattr__ each).
-_ROUTE = {op: Coordinator._deliver_overflow_wake if ACTION[op] == GRANT and LEVEL[op] == OVERFLOW
-          else Coordinator._handle_inner for op in Opcode}
-_ROUTE.update({Opcode.DECREASE_INDEXING_COUNTER: Coordinator._on_decrease,
-               Opcode.COND_WAIT_LOCAL: Coordinator._cond_wait_request,
-               Opcode.LOCK_ACQUIRE_LOCAL: Coordinator._lock_acquire_request})
 
 # the state-machine step for each opcode, one per primitive and action, whatever the
 # level, called with (msg, VarMeta, out); the VarMeta is None only for a request outside
-# _CREATES that found none. A grant comes here only as the master's answer to its unit's
-# GLOBAL request, and a coordinator serves no core-bound one
+# _CREATES that found none. A GLOBAL grant is the master's answer to its unit's request;
+# an overflow grant wakes the core a non-master redirected, and the counter decrease ends
+# its episode there, both with no VarMeta. A coordinator serves no core-bound grant.
+# _HANDLER is the one per-opcode table, indexed once per message in place of a chain
+# of `op is Opcode.X` tests.
 _ACTIONS = {
     (LOCK, ACQUIRE): Coordinator._lock_acquire,
     (LOCK, RELEASE): Coordinator._lock_release,
@@ -670,7 +659,8 @@ _ACTIONS = {
     (CONDVAR, SIGNAL): Coordinator._cond_signal,
     (CONDVAR, BROADCAST): Coordinator._cond_broadcast,
     (CONDVAR, GRANT): Coordinator._cond_grant_global,
+    (None, DECREASE): Coordinator._on_decrease,
 }
-_HANDLER = {op: _ACTIONS.get((PRIMITIVE[op], ACTION[op]), Coordinator._not_served)
-            if ACTION[op] != GRANT or LEVEL[op] == GLOBAL else Coordinator._not_served
-            for op in Opcode}
+_HANDLER = {op: Coordinator._not_served if ACTION[op] == GRANT and LEVEL[op] == LOCAL
+            else Coordinator._deliver_overflow_wake if ACTION[op] == GRANT and LEVEL[op] == OVERFLOW
+            else _ACTIONS[PRIMITIVE[op], ACTION[op]] for op in Opcode}

@@ -1,4 +1,5 @@
-"""tools/count_calls.py counts every call once, also when code objects share a label."""
+"""tools/count_calls.py counts every call once, also when code objects share a label,
+and counts every workload in order when none is named."""
 
 import cProfile
 import importlib.util
@@ -45,17 +46,30 @@ def test_dataclass_constructors_sharing_a_label_are_each_counted():
     assert profiled(7, 19) - profiled(0, 0) == 7 + 19
 
 
+SMALL = [{"scheme": scheme, "workload": "lock", "units": 2, "cores_per_unit": 4,
+          "st_entries": 4, "seed": 3, "traced": traced, "flags": flags}
+         for scheme, traced, flags in (("syncron", False, ()),
+                                       ("flat", True, ("--trace", "--verify")))]
+
+
 def test_messages_are_the_runs_unprofiled_total(monkeypatch):
     tool = load_tool()
-    small = [{"scheme": scheme, "workload": "lock", "units": 2, "cores_per_unit": 4,
-              "st_entries": 4, "seed": 3, "traced": traced, "flags": flags}
-             for scheme, traced, flags in (("syncron", False, ()),
-                                           ("flat", True, ("--trace", "--verify")))]
-    monkeypatch.setattr(tool.suite, "runs", lambda workload, seed: small)
+    monkeypatch.setattr(tool.suite, "runs", lambda workload, seed: SMALL)
     calls, messages = tool.count_calls("hot_sync", 7)
     expected = 0
-    for run in small:
+    for run in SMALL:
         stats, _ = tool.cli.run_once(tool.suite.run_config(run), trace=run["traced"])
         expected += stats.messages_intra + stats.messages_inter
     assert messages == expected > 0
     assert calls > messages
+
+
+def test_no_workload_counts_each_in_suite_order(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool.suite, "WORKLOADS", {"second": {}, "first": {}})
+    monkeypatch.setattr(tool.suite, "runs", lambda workload, seed: SMALL[:1])
+    monkeypatch.setattr(tool.sys, "argv", ["count_calls.py", "--seed", "7"])
+    tool.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["second", "first"]
+    assert len({line.split(": ", 1)[1] for line in lines}) == 1  # the same runs, the same count

@@ -3,7 +3,8 @@ import pytest
 from ndpsync.cli import RunConfig, run_once
 from ndpsync.engine import WAKE_ALL, Coordinator
 from ndpsync.errors import ProtocolError
-from ndpsync.messages import ACQUIRES, ACTION, LOCAL, POST, Message, Opcode, pack_core
+from ndpsync.messages import (ACQUIRES, ACTION, GRANT, LEVEL, LOCAL, OVERFLOW, POST, Message,
+                              Opcode, pack_core)
 from ndpsync.sim import Simulation
 from ndpsync.topology import SCHEMES, SystemConfig
 from ndpsync.verifier import verify_trace
@@ -689,9 +690,12 @@ def test_overflow_request_off_the_memory_path_rejected():
         coordinator(0, scheme="hier").handle(overflow)
 
 
-def test_core_bound_grant_rejected_at_a_coordinator():
-    with pytest.raises(ProtocolError, match="^opcode LOCK_GRANT_LOCAL not valid at a coordinator$"):
-        coordinator(0).handle(Message(0x40, Opcode.LOCK_GRANT_LOCAL, 0, 0))
+@pytest.mark.parametrize("grant", [Opcode.LOCK_GRANT_LOCAL, Opcode.BARRIER_DEPART_LOCAL,
+                                   Opcode.SEM_GRANT_LOCAL, Opcode.COND_GRANT_LOCAL],
+                         ids=lambda op: op.name)
+def test_core_bound_grant_rejected_at_a_coordinator(grant):
+    with pytest.raises(ProtocolError, match=f"^opcode {grant.name} not valid at a coordinator$"):
+        coordinator(0).handle(Message(0x40, grant, 0, 0))
 
 
 def test_overflow_grant_for_another_units_core_rejected():
@@ -737,8 +741,14 @@ def busy(meta):
 @pytest.mark.parametrize("units, st_entries", [(2, 1), (2, 64), (4, 1)])
 def test_every_live_variable_is_busy_and_every_entry_is_live(monkeypatch, units, st_entries):
     handle = Coordinator.handle
+    stateless = []  # the overflow grants and counter decreases delivered
 
     def checked(coord, msg):
+        if msg.opcode is Opcode.DECREASE_INDEXING_COUNTER or (
+                ACTION[msg.opcode] == GRANT and LEVEL[msg.opcode] == OVERFLOW):
+            # served with no VarMeta: its variable is in an overflow episode here
+            assert msg.addr in coord.enrolled and msg.addr not in coord.meta, (coord.unit, msg)
+            stateless.append(msg)
         before = set(coord.meta)
         out = handle(coord, msg)
         # only an acquire-type request or a post creates state, and only its own
@@ -762,3 +772,5 @@ def test_every_live_variable_is_busy_and_every_entry_is_live(monkeypatch, units,
                                         cores_per_unit=4, st_entries=st_entries, seed=3))
             left = {u: c.coordinator.meta for u, c in sim.coords.items() if c.coordinator.meta}
             assert not left, (scheme, workload, left)
+    # a one-entry table overflows, so the episode check above ran
+    assert stateless or st_entries > 1

@@ -1,9 +1,12 @@
-"""Count the Python-level calls of one benchmark workload's runs.
+"""Count the Python-level calls of each benchmark workload's runs.
 
+    python3 tools/count_calls.py --seed 7
     python3 tools/count_calls.py --workload hot_sync --seed 7
 
-Profiles, with the standard library's cProfile, ``ndpsync.cli.run_once`` for
-each run of the workload in ``perfbench/suite.py`` order, plus
+Without ``--workload`` it counts every workload of ``perfbench/suite.py`` in
+order, one line each. Profiles, with the standard library's cProfile,
+``ndpsync.cli.run_once`` for each run of the workload in ``perfbench/suite.py``
+order, plus
 ``verifier.verify_trace`` for the runs the benchmark verifies, and prints the
 total number of calls, built-ins included, the simulated messages of those runs
 (``messages_intra + messages_inter``) and the calls per message. The count does
@@ -49,12 +52,14 @@ def count_calls(workload, seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(suite.WORKLOADS))
+    parser.add_argument("--workload", choices=sorted(suite.WORKLOADS),
+                        help="one workload (default: each in turn)")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
-    calls, messages = count_calls(args.workload, args.seed)
-    print(f"{args.workload} seed {args.seed}: {calls:,} calls, {messages:,} messages, "
-          f"{calls / messages:.1f} calls per message")
+    for workload in [args.workload] if args.workload else suite.WORKLOADS:
+        calls, messages = count_calls(workload, args.seed)
+        print(f"{workload} seed {args.seed}: {calls:,} calls, {messages:,} messages, "
+              f"{calls / messages:.1f} calls per message")
 
 
 if __name__ == "__main__":
