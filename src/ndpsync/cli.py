@@ -224,6 +224,8 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, list]]:
             raise ConfigError(f"bad sweep value in {spec!r}: {exc}") from exc
         if not parsed:
             raise ConfigError(f"sweep {spec!r} lists no values")
+        if any(k == key for k, _ in sweeps):
+            raise ConfigError(f"sweep key {key!r} given twice; list its values in one --sweep")
         sweeps.append((key, parsed))
     return sweeps
 

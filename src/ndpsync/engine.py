@@ -1,19 +1,20 @@
 """Coordinator state machines for every synchronization primitive.
 
 A Coordinator is one synchronization service point (topology.SCHEME_AXES):
-an engine, with a fixed-capacity table and a memory fallback path, or a
+an engine, with a fixed-capacity table and a memory fallback path, a
 software server, with an unbounded dict read through its own L1 (a
-ServerCache). All schemes share the protocol logic below; they differ in
-route (who receives core requests), service point, and message cost. A
-coordinator reports the accesses its service made, in order; the runtime
-prices them.
+ServerCache), or ideal's one point, a dict with no table and no L1 that
+masters every address. All schemes share the protocol logic below; they
+differ in route (who receives core requests), service point, and message
+cost. A coordinator reports the accesses its service made, in order; the
+runtime prices them.
 
 Local routing: cores talk only to their own unit's coordinator;
 coordinators exchange *_global messages with the master of a variable and
 aggregate their local waiters so that one global message covers a whole
 unit. The master grants to its own local waiters first, then to units in
-ascending id order. Direct routing: every core sends to the master, which
-knows it by its packed {unit, core} id.
+ascending id order. Direct routing, and ideal: every core sends to the
+master, which knows it by its packed {unit, core} id.
 
 Table overflow (engines): when a variable cannot live in the table, the
 master services it via a memory-resident record; non-master engines
@@ -54,7 +55,7 @@ from .messages import (ACQUIRE, ACQUIRES, ACTION, BARRIER, BROADCAST, CONDVAR, D
                        SIGNAL, SYNC_REQUESTS, WAIT, Message, Opcode, core_id_bits, pack_core,
                        unpack_core)
 from .sync_table import IndexingCounters, SynchronizationTable
-from .topology import LINE_BYTES, SystemConfig, master_se_of
+from .topology import LINE_BYTES, SCHEME_AXES, SystemConfig, master_se_of
 
 # info value on a cond grant that wakes every parked waiter of a unit
 WAKE_ALL = (1 << 64) - 1
@@ -140,12 +141,13 @@ class Coordinator:
     def __init__(self, cfg: SystemConfig, unit: int):
         self.cfg = cfg
         self.unit = unit
-        self.server = cfg.server
-        # direct: cores of every unit send here, each request to its variable's master
-        self.direct = cfg.route == "direct"
+        service = SCHEME_AXES[cfg.scheme][1]
+        self.server = service != "engine"  # state in a dict: a server's, behind its L1, or ideal's
+        # direct or ideal: cores of every unit send here, each request to its variable's master
+        self.direct = cfg.route != "local"
         self.table = None if self.server else SynchronizationTable(cfg.st_entries)
         self.counters = None if self.server else IndexingCounters(cfg.index_counters)
-        self.cache = ServerCache() if self.server else None
+        self.cache = ServerCache() if service == "server" else None
         self.meta: dict[int, VarMeta] = {}
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
@@ -332,7 +334,7 @@ class Coordinator:
                 if meta is None and op in _CREATES:
                     meta = self._create(addr, PRIMITIVE[op], False, out)
                 _HANDLER[op](self, msg, meta, out)
-            if self.server:  # read the variable's line through the L1, then write it back
+            if self.cache is not None:  # read the variable's line through the L1, write it back
                 out.accesses += (("l1" if self.cache.access(addr // LINE_BYTES) else "read", addr),
                                  ("l1", addr))
 

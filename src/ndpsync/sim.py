@@ -79,10 +79,10 @@ COORD_KEY_BASE = 1_000_000  # coordinator node keys sort after every core's
 _OPCODE_NAMES = tuple(op.name.lower() for op in Opcode)
 
 # Every synchronization step a workload yields, by the kind that Stats.ops
-# counts, IdealOracle names and a blocked core waits on: the opcode of its
-# request and the trace records of its issue and of its grant. A step blocks
-# exactly when its request's action is in ACQUIRES, and only those have a
-# grant record. A blocking step counts at its grant, any other at its issue.
+# counts, an IdealOracle method serves and a blocked core waits on: the opcode
+# of its request and the trace records of its issue and of its grant. A step
+# blocks exactly when its request's action is in ACQUIRES, and only those have
+# a grant record. A blocking step counts at its grant, any other at its issue.
 _REQUEST = {
     "lock_acquire": (Opcode.LOCK_ACQUIRE_LOCAL, None, "cs_enter"),
     "lock_release": (Opcode.LOCK_RELEASE_LOCAL, "cs_exit", None),
@@ -417,7 +417,9 @@ class Simulation:
             raise ProtocolError("workload programs do not cover exactly the client cores")
 
         self.coords = {u: _Coord(Coordinator(cfg, u)) for u in cfg.coord_units}
-        self.oracle = IdealOracle(self._oracle_wake) if cfg.route is None else None
+        # ideal's one coordinator is no endpoint: it serves each step inside _issue
+        self.oracle = (IdealOracle(Coordinator(cfg, 0), self._oracle_wake)
+                       if cfg.route is None else None)
         # every message endpoint by node tuple
         self._at = {crt.node: crt for crt in (*self.cores, *self.coords.values())}
 
@@ -496,7 +498,7 @@ class Simulation:
         """Run the core until it blocks or finishes.
 
         A core advanced with a blocking request pending has just been
-        granted it, by a grant message or by the ideal oracle.
+        granted it, by a grant message or, under ideal, by its own _issue.
         """
         _, unit, local = crt.node
         tracing = self.trace_enabled
@@ -538,9 +540,9 @@ class Simulation:
         """Issue one synchronization step; True if the core keeps running.
 
         A blocking step sets crt.blocked until its grant. The ideal scheme
-        (no route) resolves every step with the oracle method of its kind,
-        which may grant a blocking step at once; the other schemes send the
-        request to the core's coordinator.
+        (no route) serves every step at once, through the IdealOracle method
+        of its kind, which may grant a blocking step there; the other schemes
+        send the request to the core's coordinator.
         """
         kind = step[0]
         try:
@@ -573,8 +575,8 @@ class Simulation:
     # -- coordinators --------------------------------------------------------------------
 
     def _on_msg(self, node, payload, t: int) -> None:
-        msg = payload[0]
-        if self.trace_enabled and msg != "wake":  # an oracle wake is no message
+        msg, src = payload
+        if self.trace_enabled and src is not None:  # an ideal grant crossed no network
             self.trace.append(TraceRecord(t, "msg_recv", node[1],
                                           node[2] if node[0] == "core" else -1,
                                           msg.addr, int(msg.opcode)))
@@ -582,15 +584,10 @@ class Simulation:
             self._intake(self.coords[node[1]], payload, t)
             return
         crt = self._at[node]
-        if msg == "wake":
-            _, kind, addr = payload
-        else:
-            kind = _GRANT_KIND.get(msg.opcode)
-            addr = msg.addr
         b = crt.blocked
-        if b is None or b[0] != kind or b[1] != addr:
-            what = f"wake {kind}" if msg == "wake" else msg.opcode.name
-            raise ProtocolError(f"{what}({addr:#x}) does not match pending {b} at {node}")
+        if b is None or b[0] != _GRANT_KIND.get(msg.opcode) or b[1] != msg.addr:
+            raise ProtocolError(f"{msg.opcode.name}({msg.addr:#x}) does not match pending {b} "
+                                f"at {node}")
         self._advance(crt, t)
 
     def _intake(self, crt: _Coord, item, t: int) -> None:
@@ -645,9 +642,9 @@ class Simulation:
         if crt.inbox and not crt.busy:
             self._start_service(crt, t)
 
-    # -- oracle ------------------------------------------------------------------------------
+    # -- ideal ---------------------------------------------------------------------------------
 
-    def _oracle_wake(self, node, kind: str, addr: int) -> None:
-        """Oracle wake callback: the grant of the core's pending `kind` step
-        on `addr` reaches it as a message would."""
-        self._push(self.now, MSG, self._at[node].key, node, ("wake", kind, addr))
+    def _oracle_wake(self, node, grant: Message) -> None:
+        """IdealOracle's wake callback: `grant` reaches its core at this instant
+        as a message would, from no source, since it crossed no network."""
+        self._push(self.now, MSG, self._at[node].key, node, (grant, None))

@@ -4,7 +4,8 @@ Memory is partitioned contiguously across units. The unit whose memory
 holds an address owns that address: its synchronization engine (or
 per-unit server, depending on the scheme) is the master coordinator for
 every synchronization variable stored there. The one global server
-(direct routing to a server) masters every address instead.
+(direct routing to a server) and the ideal scheme's one zero-cost service
+point master every address instead.
 
 In process, a core is named by its node ("core", unit, local) and a
 coordinator by ("coord", unit), in the network, the event queue, the
@@ -16,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .messages import CORE_ID_LIMIT, core_id_bits, pack_core
+from .messages import CORE_ID_LIMIT, core_id_bits
 
 MIB = 1024 * 1024
 LINE_BYTES = 64  # a memory and cache line
 
 # Each scheme as (route, service point). Route "local": a core sends to its own
 # unit's coordinator, which aggregates toward the master; "direct": straight to
-# the master; None: no messages (zero-cost oracle). Service point "engine": a
-# fixed-size table with a memory overflow path; "server": a software server core.
+# the master; None: no messages, each step served at once and at no cost by one
+# coordinator. Service point "engine": a fixed-size table with a memory overflow
+# path; "server": a software server core; None: a dict with no table and no L1.
 SCHEME_AXES = {
     "syncron": ("local", "engine"),
     "flat": ("direct", "engine"),
@@ -55,10 +57,11 @@ class SystemConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        # a direct-routed server is the one global server, on unit 0
+        # a direct-routed server is the one global server, on unit 0, and ideal
+        # has one zero-cost service point
         self.route, service = SCHEME_AXES[self.scheme]
         self.server = service == "server"
-        self.one_master = self.route == "direct" and self.server
+        self.one_master = self.route is None or (self.route == "direct" and self.server)
         if self.num_units < 1:
             raise ConfigError("num_units must be >= 1")
         if self.cores_per_unit < 1:
@@ -103,10 +106,12 @@ class SystemConfig:
 
     def wire_core_id(self, unit: int, local: int) -> int:
         """Core id on the requests of core (unit, local): {unit, core} packed
-        under direct routing, where a coordinator serves every unit's cores."""
-        if self.route == "direct":
-            return pack_core(unit, local, core_id_bits(self.cores_per_unit))
-        return local
+        wherever one coordinator serves every unit's cores, under direct routing
+        and for ideal. Only a direct shape's ids reach the 6-bit wire field, and
+        _check_core_id_width bounds them; ideal's never leave the process."""
+        if self.route == "local":
+            return local
+        return unit << core_id_bits(self.cores_per_unit) | local
 
     # -- derived quantities ------------------------------------------------
 
@@ -132,7 +137,8 @@ class SystemConfig:
 
 def master_se_of(cfg: SystemConfig, addr: int) -> int:
     """Unit whose coordinator masters `addr`: the unit whose memory holds it
-    (contiguous partitioning), or unit 0 for the one global server."""
+    (contiguous partitioning), or unit 0 where one coordinator masters every
+    address (the one global server, and ideal's service point)."""
     unit = addr // cfg.unit_mem_bytes
     if addr < 0 or unit >= cfg.num_units:
         raise ConfigError(f"address {addr:#x} outside system memory (0..{cfg.total_mem_bytes:#x})")

@@ -15,8 +15,9 @@ A program is a generator yielding steps:
 
 The eight synchronization kinds are those of sim._REQUEST, Stats.ops and
 IdealOracle's methods, and name a blocked core's pending request and the
-grant or oracle wake that ends it; a step's third field, when it has one, is
-the info word its request carries.
+grant that ends it, a coordinator's grant message under every scheme, ideal
+included; a step's third field, when it has one, is the info word its
+request carries.
 
 Shared workload state is mutated inside critical sections, so the final
 state is a function of the set of executed operations, not their

@@ -1,8 +1,9 @@
 import pytest
 
 from ndpsync.baselines import SERVER_CACHE_LINES, IdealOracle, ServerCache
+from ndpsync.engine import Coordinator
 from ndpsync.errors import ProtocolError
-from ndpsync.sim import Simulation
+from ndpsync.sim import _GRANT_KIND, Simulation
 from ndpsync.topology import SystemConfig
 from ndpsync.workloads import make_workload
 
@@ -45,8 +46,12 @@ def test_cache_never_exceeds_capacity():
 
 
 def oracle_with_log():
+    """The oracle of a 2x4 ideal system (clients 0-2 of each unit), logging each
+    wake as (core, the step kind its grant completes, the grant's address)."""
+    cfg = SystemConfig(num_units=2, cores_per_unit=4, scheme="ideal")
     wakes = []
-    return IdealOracle(lambda core, kind, addr: wakes.append((core, kind, addr))), wakes
+    return IdealOracle(Coordinator(cfg, 0), lambda core, grant: wakes.append(
+        (core, _GRANT_KIND[grant.opcode], grant.addr))), wakes
 
 
 def assert_owns(o, owner, other, lock):
@@ -56,12 +61,13 @@ def assert_owns(o, owner, other, lock):
     assert o.lock_release(owner, lock)
 
 
-def test_ideal_lock_fifo_handoff():
+def test_ideal_lock_hands_off_lowest_core_id_first():
+    # the engines' grant order, not arrival order: c queues before b, b goes first
     o, wakes = oracle_with_log()
     a, b, c = ("core", 0, 0), ("core", 0, 1), ("core", 1, 0)
     assert o.lock_acquire(a, 64)
-    assert not o.lock_acquire(b, 64)
     assert not o.lock_acquire(c, 64)
+    assert not o.lock_acquire(b, 64)
     o.lock_release(a, 64)
     assert wakes == [(b, "lock_acquire", 64)]
     assert_owns(o, b, a, 64)
@@ -92,7 +98,7 @@ def test_ideal_barrier_last_arrival_proceeds():
 def test_ideal_barrier_participant_mismatch_rejected():
     o, _ = oracle_with_log()
     o.barrier_wait(("core", 0, 0), 64, 3)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="participant count mismatch"):
         o.barrier_wait(("core", 0, 1), 64, 4)
 
 
@@ -104,8 +110,8 @@ def test_ideal_semaphore_counts_and_parks():
     assert not o.sem_wait(c, 64, 2)  # resources exhausted
     o.sem_post(a, 64)
     assert wakes == [(c, "sem_wait", 64)]
-    with pytest.raises(ProtocolError):
-        o.sem_wait(a, 64, 3)  # re-declaration
+    with pytest.raises(ProtocolError, match="re-declared"):
+        o.sem_wait(a, 64, 3)
 
 
 def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
@@ -171,3 +177,27 @@ def test_ideal_scheme_costs_nothing_on_the_wire():
     assert stats.by_opcode == {}
     assert stats.ops["lock_acquire"] == 20
     assert stats.completed_ops == 20
+
+
+def test_ideal_runs_past_the_six_bit_core_id_field():
+    # 8 units x 16 cores: packed ids reach 126, which no wire message could carry
+    cfg = SystemConfig(num_units=8, cores_per_unit=16, scheme="ideal")
+    stats = Simulation(cfg, make_workload(cfg, "lock", seed=3, params={"iterations": 2})).run()
+    assert stats.by_opcode == {}
+    assert stats.ops["lock_acquire"] == stats.completed_ops == 8 * 15 * 2
+
+
+STRUCTURES = ("stack", "queue", "array_map", "hash_table", "linked_list")
+
+
+@pytest.mark.parametrize("units", [2, 4])
+@pytest.mark.parametrize("workload", STRUCTURES)
+def test_ideal_is_a_lower_bound_on_every_scheme(workload, units):
+    def run(scheme):
+        cfg = SystemConfig(num_units=units, cores_per_unit=4, scheme=scheme)
+        return Simulation(cfg, make_workload(cfg, workload, seed=3)).run()
+
+    ideal = run("ideal")
+    assert ideal.by_opcode == {} and ideal.mem_sync_var == 0  # its synchronization is free
+    slower = {scheme: run(scheme).time_ps for scheme in ("syncron", "flat", "central", "hier")}
+    assert all(t >= ideal.time_ps for t in slower.values()), (ideal.time_ps, slower)

@@ -234,6 +234,17 @@ def test_bad_sweep_exits_2(tmp_path):
     assert rv == 2
 
 
+@pytest.mark.parametrize("second", ["seed=2", "st-entries=8"], ids=["same", "dashed"])
+def test_sweep_key_given_twice_exits_2_before_any_run(tmp_path, capsys, second):
+    # one run at the last value would silently drop the first sweep's values
+    first = "seed=1" if second == "seed=2" else "st_entries=4"
+    rv = cli.main(SMALL + ["--sweep", first, "--sweep", second, "--out", str(tmp_path)])
+    assert rv == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sweep key ") and "given twice" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("body, fragment", [
     ("units = 1\n", "no section headers"),
     ("[run]\nseed = 1\nseed = 2\n", "already exists"),

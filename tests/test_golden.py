@@ -95,16 +95,16 @@ GOLDEN = {
     "ideal/semaphore/st64": "926c728bb9993d8976bb05e63e986796f24c097605a3667c2bba66d209bb970b",
     "ideal/condvar/st1": "6512581e645ed4d92166a47407243dd03c046b0470d80966f13e1f61b840732a",
     "ideal/condvar/st64": "3159ca8be23aef97c6608e27ab69342c7bb5648cddc86d483dcf117f336670fd",
-    "ideal/stack/st1": "fac7eb19aea8462f2d490adbdaf4de15fc386f8022f95e81e97400aa974eb53f",
-    "ideal/stack/st64": "fed265bc9dbef69bcb0cdd445b0c3b8ef7b1f51eb31223b53882b8689e20e682",
-    "ideal/queue/st1": "38253a2871574d8a3b3f41a008cc223fee2a514aa3ee914017218a5559e9b16b",
-    "ideal/queue/st64": "b9ca180c1e53a0a6acdd03065406e7aa0a011e730b8f3263f9edba370cbdfb09",
-    "ideal/array_map/st1": "b7ab06bf9e3babdde5ce88f1b64e881720aa9d4e42c7b3ec8b0cf9ac92d6e508",
-    "ideal/array_map/st64": "5bfd0e5477dcddb3ce372b951e1d875f15ec5e320591cc11102b2bada34ae94b",
+    "ideal/stack/st1": "cd5807454bec55bb5309437f40d0bdda4a6666985c4a8415d1d38bbc3ed60da1",
+    "ideal/stack/st64": "c2fd75be851bee44265cce1005dbb10134cbfedf48a3efdbb8aaa340fce5a5b7",
+    "ideal/queue/st1": "ce412aef1a364a879b44da124ba41b66222211f50e61398476ccefe4024e2fff",
+    "ideal/queue/st64": "af059f6ee23ed8dfc83e87060a927ec248f6dac9b10fa242bf6f679df10fc5d8",
+    "ideal/array_map/st1": "6861150efab64e8e22ea644b63a67a2f23214da3969da2667fed7eb932d21400",
+    "ideal/array_map/st64": "b2facf5a5dfeb04c316c60977298a12e326af6404741b5ed2b8f4067ffd0fa42",
     "ideal/hash_table/st1": "feda80d6341deac62555997fddb80f0e6123e74710cf62568d475548ac363c67",
     "ideal/hash_table/st64": "88b6d22e2655fb5030b48d0dfbb3e6df75707ffd8021f078b3b6cf77cb7ac2ab",
-    "ideal/linked_list/st1": "47101e925734ee0644eb3540fe112a6e10de76f95919d11489dd45a07ab0ee99",
-    "ideal/linked_list/st64": "9a7d465a7bb38ff793f9bd0a4bab01e42a526ca95bee4fe7cae88dac35454ee3",
+    "ideal/linked_list/st1": "ddb25b7ff2987c273a4e27d244051d5779eafeba3faa539925ca63494ca1050b",
+    "ideal/linked_list/st64": "b0a2408999c403d70580df552975b5691d7ff5e27f386374b6a8ec4eb48433ca",
 }
 
 # The paper-size 4x16 system under the four message-passing schemes. The
@@ -165,55 +165,44 @@ def output_digest(rc: RunConfig) -> str:
     return h.hexdigest()
 
 
-def golden_runs():
-    for scheme in SCHEMES:
-        for workload in WORKLOAD_NAMES:
-            for st in (1, 64):
-                yield (f"{scheme}/{workload}/st{st}",
-                       RunConfig(scheme=scheme, workload=workload, units=2,
-                                 cores_per_unit=4, st_entries=st, seed=3))
+def assert_digests(golden: dict, runs) -> None:
+    """Each named run of `runs`, (name, RunConfig) pairs, matches its digest in
+    `golden`. A failure names every moved run with its new digest, as the golden
+    line a declared change rewrites."""
+    got = {name: output_digest(rc) for name, rc in runs}
+    assert set(got) == set(golden)
+    moved = [f'"{name}": "{got[name]}",' for name in sorted(got) if got[name] != golden[name]]
+    assert not moved, "outputs changed for:\n" + "\n".join(moved)
 
 
 def test_outputs_match_golden_digests():
-    got = {name: output_digest(rc) for name, rc in golden_runs()}
-    assert set(got) == set(GOLDEN)
-    changed = sorted(name for name in got if got[name] != GOLDEN[name])
-    assert not changed, f"outputs changed for {changed}"
+    assert_digests(GOLDEN, (
+        (f"{scheme}/{workload}/st{st}",
+         RunConfig(scheme=scheme, workload=workload, units=2, cores_per_unit=4,
+                   st_entries=st, seed=3))
+        for scheme in SCHEMES for workload in WORKLOAD_NAMES for st in (1, 64)))
 
 
 def test_paper_size_outputs_match_golden_digests():
-    got = {}
-    for scheme in ("syncron", "flat", "hier", "central"):
-        for workload, iterations in ITERATIONS_4X16.items():
-            for st in (4, 64):
-                rc = RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
-                               st_entries=st, seed=3,
-                               workload_params={"iterations": iterations})
-                got[f"{scheme}/{workload}/st{st}"] = output_digest(rc)
-    assert set(got) == set(GOLDEN_4X16)
-    changed = sorted(name for name in got if got[name] != GOLDEN_4X16[name])
-    assert not changed, f"outputs changed for {changed}"
+    assert_digests(GOLDEN_4X16, (
+        (f"{scheme}/{workload}/st{st}",
+         RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
+                   st_entries=st, seed=3, workload_params={"iterations": iterations}))
+        for scheme in ("syncron", "flat", "hier", "central")
+        for workload, iterations in ITERATIONS_4X16.items() for st in (4, 64)))
 
 
 def test_multi_unit_overflow_outputs_match_golden_digests():
-    got = {}
-    for workload in ("hash_table", "linked_list"):
-        for st in (1, 4):
-            rc = RunConfig(scheme="syncron", workload=workload, units=4, cores_per_unit=4,
-                           st_entries=st, seed=3)
-            got[f"syncron/{workload}/st{st}"] = output_digest(rc)
-    assert set(got) == set(GOLDEN_4X4)
-    changed = sorted(name for name in got if got[name] != GOLDEN_4X4[name])
-    assert not changed, f"outputs changed for {changed}"
+    assert_digests(GOLDEN_4X4, (
+        (f"syncron/{workload}/st{st}",
+         RunConfig(scheme="syncron", workload=workload, units=4, cores_per_unit=4,
+                   st_entries=st, seed=3))
+        for workload in ("hash_table", "linked_list") for st in (1, 4)))
 
 
 def test_paper_size_overflow_outputs_match_golden_digests():
-    got = {}
-    for scheme in ("syncron", "flat", "hier"):
-        for workload, ops in OPS_OVERFLOW_4X16.items():
-            rc = RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
-                           st_entries=4, seed=3, workload_params={"ops_per_core": ops})
-            got[f"{scheme}/{workload}"] = output_digest(rc)
-    assert set(got) == set(GOLDEN_OVERFLOW_4X16)
-    changed = sorted(name for name in got if got[name] != GOLDEN_OVERFLOW_4X16[name])
-    assert not changed, f"outputs changed for {changed}"
+    assert_digests(GOLDEN_OVERFLOW_4X16, (
+        (f"{scheme}/{workload}",
+         RunConfig(scheme=scheme, workload=workload, units=4, cores_per_unit=16,
+                   st_entries=4, seed=3, workload_params={"ops_per_core": ops}))
+        for scheme in ("syncron", "flat", "hier") for workload, ops in OPS_OVERFLOW_4X16.items()))

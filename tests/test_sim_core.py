@@ -575,12 +575,15 @@ def test_a_step_blocks_exactly_when_its_request_is_an_acquire():
 
 
 def test_oracle_wake_for_another_step_is_a_protocol_error():
+    # an ideal grant arrives as the coordinator's grant message, like any other
     sim = tiny_sim(scheme="ideal", steps={0: [("lock_acquire", 64)]})
     core = ("core", 0, 0)
     sim._at[core].blocked = ("sem_wait", 64, 0)
+    sim._oracle_wake(core, Message(64, Opcode.LOCK_GRANT_LOCAL, 0, 0))
+    *_, node, payload = heapq.heappop(sim._heap)
     with pytest.raises(ProtocolError) as err:
-        sim._on_msg(core, ("wake", "lock_acquire", 64), 0)
-    assert str(err.value) == ("wake lock_acquire(0x40) does not match pending "
+        sim._on_msg(node, payload, 0)
+    assert str(err.value) == ("LOCK_GRANT_LOCAL(0x40) does not match pending "
                               "('sem_wait', 64, 0) at ('core', 0, 0)")
 
 
@@ -635,14 +638,15 @@ def test_flat_condvar_master_releases_and_reacquires_the_lock_at_its_master():
 # -- scheme axes -----------------------------------------------------------------
 
 # per scheme on 2 units x 3 cores: coordinator units, whether they are software
-# servers, whether wire ids pack {unit, core}, and the unit whose coordinator
-# receives core (0, 0)'s requests for a lock homed on unit 1
+# servers, whether core ids pack {unit, core} (ideal's never reach the wire),
+# and the unit whose coordinator receives core (0, 0)'s requests for a lock
+# homed on unit 1
 AXES = {
     "syncron": ({0, 1}, False, False, 0),
     "flat": ({0, 1}, False, True, 1),
     "central": ({0}, True, True, 0),
     "hier": ({0, 1}, True, False, 0),
-    "ideal": (set(), None, False, None),
+    "ideal": (set(), None, True, None),
 }
 
 
@@ -654,6 +658,10 @@ def test_simulation_follows_scheme_axes(scheme):
     sim = Simulation(cfg, Script(cfg, {0: [("lock_acquire", lock), ("lock_release", lock)]}))
     assert set(sim.coords) == units
     assert (sim.oracle is not None) == (scheme == "ideal")
+    if sim.oracle is not None:  # ideal's one coordinator serves every core, with no table or L1
+        coord = sim.oracle._coord
+        assert coord.table is None and coord.cache is None
+        assert sorted(coord.clients.values()) == cfg.clients()
     for crt in sim.coords.values():
         assert (crt.coordinator.table is None, crt.coordinator.cache is not None) == (server, server)
     for crt in sim.cores:
@@ -673,7 +681,7 @@ def test_simulation_follows_scheme_axes(scheme):
                      (Opcode.LOCK_RELEASE_LOCAL, ("coord", receiver))])
 
 
-@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "ideal"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_sync_address_outside_memory_rejected(scheme):
     cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
     lock = 2 * cfg.unit_mem_bytes + 64
