@@ -7,16 +7,17 @@ line from the variable's home unit; the runtime charges those costs.
 
 IdealOracle is the service point of the zero-cost bound, the "ideal" scheme,
 which has no route: one engine.Coordinator that masters every address and
-keeps its state as a server does, with no table and no L1, called at each
-step with no message, wire or service time. It holds no primitive semantics
-of its own: ideal grants what the engines grant, in their order.
+keeps its state as a server does, with no table and no L1. It serves each
+request Message that Simulation._issue builds at once, with no wire or service
+time, and returns the grants for the runtime to deliver. It holds no primitive
+semantics of its own: ideal grants what the engines grant, in their order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from .messages import ACQUIRES, ACTION, Message, Opcode
+from .messages import Message
 
 SERVER_CACHE_LINES = 256
 
@@ -42,48 +43,27 @@ class ServerCache:
         return False
 
 
-def _step(opcode: Opcode):
-    """The IdealOracle method that serves one step kind, sent as `opcode`."""
-    blocks = ACTION[opcode] in ACQUIRES
-
-    def step(self, core: tuple, addr: int, info: int = 0) -> bool:
-        handle = self._coord.handle
-        out = handle(Message(addr, opcode, self._ids[core], info))
-        sends = out.sends
-        for resume in out.internal:  # a condvar waiter's lock re-acquisition, served at once
-            sends += handle(resume).sends
-        granted = not blocks
-        for node, grant in sends:
-            if node == core:
-                granted = True
-            else:
-                self._wake(node, grant)
-        return granted
-
-    return step
-
-
 class IdealOracle:
-    """Serves each workload step at once through ideal's one Coordinator.
+    """Serves each synchronization request at once through ideal's one Coordinator.
 
-    Each public method is one workload step kind, called as
-    method(core, addr, info) with the step's core node ("core", unit, local),
-    address and info word, and returns True when the core keeps running: the
-    step does not block, or the coordinator grants it at once. Every other
-    grant the step sets free reaches its core through the wake callback,
-    wake(core, msg), as the grant Message the coordinator sent it.
+    Simulation._issue builds a step's request Message as for any scheme and
+    passes it to the method named after the step's kind. Every method is one
+    `_serve`, bound under the eight step names so that each step is one call
+    of its kind.
     """
 
-    def __init__(self, coordinator, wake):
+    def __init__(self, coordinator):
         self._coord = coordinator
-        self._wake = wake
-        self._ids = {node: core_id for core_id, node in coordinator.clients.items()}
 
-    lock_acquire = _step(Opcode.LOCK_ACQUIRE_LOCAL)
-    lock_release = _step(Opcode.LOCK_RELEASE_LOCAL)
-    barrier_wait = _step(Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS)
-    sem_wait = _step(Opcode.SEM_WAIT_LOCAL)
-    sem_post = _step(Opcode.SEM_POST_LOCAL)
-    cond_wait = _step(Opcode.COND_WAIT_LOCAL)
-    cond_signal = _step(Opcode.COND_SIGNAL_LOCAL)
-    cond_broadcast = _step(Opcode.COND_BROAD_LOCAL)
+    def _serve(self, msg: Message) -> list:
+        """The (core node, grant Message) sends of `msg` and of the condvar
+        resumes it sets off, each served at once; the runtime delivers them."""
+        handle = self._coord.handle
+        out = handle(msg)
+        sends = out.sends
+        for resume in out.internal:  # a condvar waiter's lock re-acquisition
+            sends += handle(resume).sends
+        return sends
+
+    lock_acquire = lock_release = barrier_wait = sem_wait = _serve
+    sem_post = cond_wait = cond_signal = cond_broadcast = _serve

@@ -14,7 +14,11 @@ coordinators exchange *_global messages with the master of a variable and
 aggregate their local waiters so that one global message covers a whole
 unit. The master grants to its own local waiters first, then to units in
 ascending id order. Direct routing, and ideal: every core sends to the
-master, which knows it by its packed {unit, core} id.
+master, which knows it by its packed {unit, core} id. Simulation._issue
+routes each core request, once its address and a cond wait's lock are found
+in system memory. A coordinator tests mastership by arithmetic
+(is_master_for) and asks topology.master_se_of only to address a message to
+another coordinator (_to_master).
 
 Table overflow (engines): when a variable cannot live in the table, the
 master services it via a memory-resident record; non-master engines
@@ -152,6 +156,9 @@ class Coordinator:
         self.enrolled: dict[int, int] = {}      # addr -> outstanding redirected acquires
         self.cond_resume: dict[int, int] = {}   # core id -> condvar being resumed
         self.core_bits = core_id_bits(cfg.cores_per_unit)
+        # the addresses this unit masters: every one, or those its memory holds
+        self.one_master = cfg.one_master
+        self.mem_lo, self.mem_hi = unit * cfg.unit_mem_bytes, (unit + 1) * cfg.unit_mem_bytes
         # the cores whose requests come here, by the core id those requests carry
         self.clients = {cfg.wire_core_id(node[1], node[2]): node
                         for node in cfg.clients() if self.direct or node[1] == unit}
@@ -159,7 +166,8 @@ class Coordinator:
     # -- identity and sending --------------------------------------------------
 
     def is_master_for(self, addr: int) -> bool:
-        return master_se_of(self.cfg, addr) == self.unit
+        """master_se_of(cfg, addr) == unit, for an address in system memory."""
+        return self.one_master or self.mem_lo <= addr < self.mem_hi
 
     def _client(self, core_id: int) -> None:
         """Reject a core id that names no client core sending here. Callers
@@ -178,13 +186,13 @@ class Coordinator:
         else:
             out.sends.append((("coord", who >> self.core_bits), Message(addr, op, who, info)))
 
-    def _to_unit(self, out: Output, unit: int, addr: int, op: Opcode, core_id: int,
-                 info: int = 0) -> None:
-        out.sends.append((("coord", unit), Message(addr, op, core_id, info)))
-
-    def _to_master(self, out: Output, addr: int, op: Opcode, info: int = 0) -> None:
-        """A *_global request for `addr`'s master, sent on behalf of this unit."""
-        self._to_unit(out, master_se_of(self.cfg, addr), addr, op, self.unit, info)
+    def _to_master(self, out: Output, addr: int, op: Opcode, info: int = 0,
+                   core_id: int | None = None) -> None:
+        """Send `op` to `addr`'s master, on behalf of core `core_id` or, by
+        default, of this unit (a *_global request). Only a message that leaves
+        for another coordinator asks for mastership."""
+        out.sends.append((("coord", master_se_of(self.cfg, addr)),
+                          Message(addr, op, self.unit if core_id is None else core_id, info)))
 
     # -- entry / record management -------------------------------------------
 
@@ -205,7 +213,8 @@ class Coordinator:
         if meta.in_memory:
             self.counters.decrement(addr)
             for u in _bits(meta.ovf_units):
-                self._to_unit(out, u, addr, Opcode.DECREASE_INDEXING_COUNTER, 0)
+                decrease = Message(addr, Opcode.DECREASE_INDEXING_COUNTER, 0, 0)
+                out.sends.append((("coord", u), decrease))
         elif not self.server:
             self.table.release(addr)
             out.accesses.append(("st_release", addr))
@@ -266,10 +275,10 @@ class Coordinator:
         if op is _COND_WAIT_LOCAL:
             # release the named lock on the caller's behalf before parking
             lock = msg.info
-            if self.direct and (master := master_se_of(self.cfg, lock)) != self.unit:
+            if self.direct and not self.is_master_for(lock):
                 # the lock lives at another master: release it there, ahead of the
                 # re-acquisition that _start_resume sends it on a wake
-                self._to_unit(out, master, lock, _LOCK_RELEASE_LOCAL, msg.core_id)
+                self._to_master(out, lock, _LOCK_RELEASE_LOCAL, 0, msg.core_id)
             else:
                 self._handle_inner(msg._replace(addr=lock, opcode=_LOCK_RELEASE_LOCAL, info=0),
                                    out)
@@ -359,8 +368,7 @@ class Coordinator:
                 self.enrolled[msg.addr] = 0
                 self.counters.increment(msg.addr)
             self.enrolled[msg.addr] += 1
-        self._to_unit(out, master_se_of(self.cfg, msg.addr), msg.addr, form,
-                      pack_core(unit, local, self.core_bits), msg.info)
+        self._to_master(out, msg.addr, form, msg.info, pack_core(unit, local, self.core_bits))
 
     def _on_decrease(self, msg: Message, meta: VarMeta | None, out: Output) -> None:
         addr = msg.addr
@@ -634,9 +642,9 @@ class Coordinator:
         """Wake one waiter: re-acquire its lock, then deliver the cond grant."""
         if lock_addr == 0:
             raise ProtocolError(f"condvar {cv_addr:#x} woken without an associated lock")
-        if self.direct and (master := master_se_of(self.cfg, lock_addr)) != self.unit:
+        if self.direct and not self.is_master_for(lock_addr):
             # the lock lives at another master: re-acquire over the wire
-            self._to_unit(out, master, lock_addr, _LOCK_ACQUIRE_LOCAL, core_id, cv_addr)
+            self._to_master(out, lock_addr, _LOCK_ACQUIRE_LOCAL, cv_addr, core_id)
         else:
             out.internal.append(Message(lock_addr, _LOCK_ACQUIRE_LOCAL, core_id, cv_addr))
 

@@ -79,10 +79,10 @@ COORD_KEY_BASE = 1_000_000  # coordinator node keys sort after every core's
 _OPCODE_NAMES = tuple(op.name.lower() for op in Opcode)
 
 # Every synchronization step a workload yields, by the kind that Stats.ops
-# counts, an IdealOracle method serves and a blocked core waits on: the opcode
-# of its request and the trace records of its issue and of its grant. A step
-# blocks exactly when its request's action is in ACQUIRES, and only those have
-# a grant record. A blocking step counts at its grant, any other at its issue.
+# counts, an IdealOracle method is named after and a blocked core waits on: the
+# opcode of the request _issue builds under every scheme, and the trace records
+# of its issue and grant. A step blocks exactly when its request's action is in
+# ACQUIRES, and only those have a grant record, counted at the grant.
 _REQUEST = {
     "lock_acquire": (Opcode.LOCK_ACQUIRE_LOCAL, None, "cs_enter"),
     "lock_release": (Opcode.LOCK_RELEASE_LOCAL, "cs_exit", None),
@@ -369,7 +369,7 @@ class _Core:
         self.node = node
         self.key = key
         self.wire_id = wire_id  # core id on this core's requests
-        self.dst = dst  # coordinator node of its requests; None: each variable's master
+        self.dst = dst  # coordinator node of all its requests; None: each variable's master
 
 
 class _Coord:
@@ -404,6 +404,9 @@ class Simulation:
         self._sent = [0] * len(_OPCODE_NAMES)  # messages sent, by opcode value
 
         programs = workload.programs()
+        # a core's one coordinator: its unit's, or the one master's (ideal's is no
+        # endpoint); under flat, each request goes to its variable's master
+        per_address = cfg.route == "direct" and not cfg.one_master
         self.cores: list[_Core] = []  # in client (unit, local) order
         for node in cfg.clients():
             gen = programs.get(node)
@@ -411,15 +414,14 @@ class Simulation:
                 break
             _, u, l = node
             self.cores.append(_Core(node, gen, u * cfg.cores_per_unit + l, cfg.wire_core_id(u, l),
-                                    None if cfg.route == "direct" else ("coord", u)))
+                                    None if per_address else ("coord", 0 if cfg.one_master else u)))
         clients = cfg.total_clients
         if len(self.cores) != clients or len(programs) != clients:
             raise ProtocolError("workload programs do not cover exactly the client cores")
 
         self.coords = {u: _Coord(Coordinator(cfg, u)) for u in cfg.coord_units}
         # ideal's one coordinator is no endpoint: it serves each step inside _issue
-        self.oracle = (IdealOracle(Coordinator(cfg, 0), self._oracle_wake)
-                       if cfg.route is None else None)
+        self.oracle = IdealOracle(Coordinator(cfg, 0)) if cfg.route is None else None
         # every message endpoint by node tuple
         self._at = {crt.node: crt for crt in (*self.cores, *self.coords.values())}
 
@@ -539,10 +541,12 @@ class Simulation:
     def _issue(self, crt: _Core, step, t: int) -> bool:
         """Issue one synchronization step; True if the core keeps running.
 
-        A blocking step sets crt.blocked until its grant. The ideal scheme
-        (no route) serves every step at once, through the IdealOracle method
-        of its kind, which may grant a blocking step there; the other schemes
-        send the request to the core's coordinator.
+        The one place a request is built, checked (its address, and a cond
+        wait's lock, lie in system memory) and routed: to crt.dst, or under
+        flat to its master. Ideal serves it at once instead, through the
+        IdealOracle method of its kind; a grant to this core keeps it running,
+        any other reaches its core at this instant, as a message from no source.
+        A blocking step sets crt.blocked until its grant.
         """
         kind = step[0]
         try:
@@ -551,6 +555,12 @@ class Simulation:
             raise ProtocolError(f"unknown workload step {kind!r}") from None
         addr = step[1]
         info = step[2] if len(step) > 2 else 0
+        cfg = self.cfg
+        home = addr // cfg.unit_mem_bytes
+        if not 0 <= home < cfg.num_units or (
+                kind == "cond_wait" and not 0 <= info // cfg.unit_mem_bytes < cfg.num_units):
+            master_se_of(cfg, addr)  # raises: the address, or else
+            master_se_of(cfg, info)  # the cond wait's lock, lies outside system memory
         if granted is None:
             self.stats.ops[kind] += 1
         else:  # a barrier's participant count is not traced
@@ -564,13 +574,19 @@ class Simulation:
                 self.trace.append(TraceRecord(t, note, unit, local, addr, info))
             else:
                 self.trace.append(TraceRecord(t, note, unit, local, addr))
-        if self.oracle is not None:
-            return getattr(self.oracle, kind)(crt.node, addr, info)
         if kind == "barrier_wait" and step[3]:
             opc = Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT
-        dst = crt.dst or self.coords[master_se_of(self.cfg, addr)].node
-        self._send(crt.node, dst, Message(addr, opc, crt.wire_id, info), t)
-        return granted is None
+        msg = Message(addr, opc, crt.wire_id, info)
+        if self.oracle is None:  # flat is not one master: an address's home unit masters it
+            self._send(crt.node, crt.dst or self.coords[home].node, msg, t)
+            return granted is None
+        running = granted is None
+        for node, grant in getattr(self.oracle, kind)(msg):
+            if node == crt.node:
+                running = True
+            else:
+                self._push(t, MSG, self._at[node].key, node, (grant, None))
+        return running
 
     # -- coordinators --------------------------------------------------------------------
 
@@ -641,10 +657,3 @@ class Simulation:
             self._intake(crt, (m, node), t)
         if crt.inbox and not crt.busy:
             self._start_service(crt, t)
-
-    # -- ideal ---------------------------------------------------------------------------------
-
-    def _oracle_wake(self, node, grant: Message) -> None:
-        """IdealOracle's wake callback: `grant` reaches its core at this instant
-        as a message would, from no source, since it crossed no network."""
-        self._push(self.now, MSG, self._at[node].key, node, (grant, None))

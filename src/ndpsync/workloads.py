@@ -14,7 +14,7 @@ A program is a generator yielding steps:
     ("cond_broadcast", cv)
 
 The eight synchronization kinds are those of sim._REQUEST, Stats.ops and
-IdealOracle's methods, and name a blocked core's pending request and the
+the names IdealOracle binds its one method under, and name a blocked core's pending request and the
 grant that ends it, a coordinator's grant message under every scheme, ideal
 included; a step's third field, when it has one, is the info word its
 request carries.

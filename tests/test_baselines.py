@@ -1,11 +1,13 @@
+from heapq import heappop
+
 import pytest
 
-from ndpsync.baselines import SERVER_CACHE_LINES, IdealOracle, ServerCache
-from ndpsync.engine import Coordinator
+from ndpsync.baselines import SERVER_CACHE_LINES, ServerCache
 from ndpsync.errors import ProtocolError
 from ndpsync.sim import _GRANT_KIND, Simulation
 from ndpsync.topology import SystemConfig
 from ndpsync.workloads import make_workload
+from script_workload import Script
 
 
 # -- server cache ------------------------------------------------------------------
@@ -46,122 +48,134 @@ def test_cache_never_exceeds_capacity():
 
 
 def oracle_with_log():
-    """The oracle of a 2x4 ideal system (clients 0-2 of each unit), logging each
-    wake as (core, the step kind its grant completes, the grant's address)."""
+    """A step issuer for the oracle of a 2x4 ideal system (clients 0-2 of each
+    unit), and its wake log. issue(core, kind, addr, *fields) issues one step
+    through Simulation._issue, which builds its request and delivers its
+    grants, and returns True when the core keeps running; each grant queued
+    for another core is logged as (core, the step kind it completes, its
+    address)."""
     cfg = SystemConfig(num_units=2, cores_per_unit=4, scheme="ideal")
+    sim = Simulation(cfg, Script(cfg))
     wakes = []
-    return IdealOracle(Coordinator(cfg, 0), lambda core, grant: wakes.append(
-        (core, _GRANT_KIND[grant.opcode], grant.addr))), wakes
+
+    def issue(core, kind, addr, *fields):
+        running = sim._issue(sim._at[core], (kind, addr, *fields), sim.now)
+        while sim._heap:
+            *_, node, (grant, _) = heappop(sim._heap)
+            wakes.append((node, _GRANT_KIND[grant.opcode], grant.addr))
+        return running
+
+    return issue, wakes
 
 
-def assert_owns(o, owner, other, lock):
+def assert_owns(issue, owner, other, lock):
     """`owner` holds `lock`: a non-owner's release raises, the owner's frees it."""
     with pytest.raises(ProtocolError, match="released by non-owner"):
-        o.lock_release(other, lock)
-    assert o.lock_release(owner, lock)
+        issue(other, "lock_release", lock)
+    assert issue(owner, "lock_release", lock)
 
 
 def test_ideal_lock_hands_off_lowest_core_id_first():
     # the engines' grant order, not arrival order: c queues before b, b goes first
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     a, b, c = ("core", 0, 0), ("core", 0, 1), ("core", 1, 0)
-    assert o.lock_acquire(a, 64)
-    assert not o.lock_acquire(c, 64)
-    assert not o.lock_acquire(b, 64)
-    o.lock_release(a, 64)
+    assert issue(a, "lock_acquire", 64)
+    assert not issue(c, "lock_acquire", 64)
+    assert not issue(b, "lock_acquire", 64)
+    issue(a, "lock_release", 64)
     assert wakes == [(b, "lock_acquire", 64)]
-    assert_owns(o, b, a, 64)
+    assert_owns(issue, b, a, 64)
     assert wakes == [(b, "lock_acquire", 64), (c, "lock_acquire", 64)]
-    assert_owns(o, c, b, 64)
+    assert_owns(issue, c, b, 64)
 
 
 def test_ideal_lock_release_by_non_owner_rejected():
-    o, _ = oracle_with_log()
-    o.lock_acquire(("core", 0, 0), 64)
+    issue, _ = oracle_with_log()
+    issue(("core", 0, 0), "lock_acquire", 64)
     with pytest.raises(ProtocolError, match=r"lock 0x40 released by non-owner \('core', 0, 1\)$"):
-        o.lock_release(("core", 0, 1), 64)
+        issue(("core", 0, 1), "lock_release", 64)
     with pytest.raises(ProtocolError):
-        o.lock_release(("core", 0, 1), 999)
+        issue(("core", 0, 1), "lock_release", 999)
 
 
 def test_ideal_barrier_last_arrival_proceeds():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     cores = [("core", 0, i) for i in range(3)]
-    assert not o.barrier_wait(cores[0], 64, 3)
-    assert not o.barrier_wait(cores[1], 64, 3)
-    assert o.barrier_wait(cores[2], 64, 3)
+    assert not issue(cores[0], "barrier_wait", 64, 3, False)
+    assert not issue(cores[1], "barrier_wait", 64, 3, False)
+    assert issue(cores[2], "barrier_wait", 64, 3, False)
     assert wakes == [(cores[0], "barrier_wait", 64), (cores[1], "barrier_wait", 64)]
     # a second episode starts fresh
-    assert not o.barrier_wait(cores[0], 64, 3)
+    assert not issue(cores[0], "barrier_wait", 64, 3, False)
 
 
 def test_ideal_barrier_participant_mismatch_rejected():
-    o, _ = oracle_with_log()
-    o.barrier_wait(("core", 0, 0), 64, 3)
+    issue, _ = oracle_with_log()
+    issue(("core", 0, 0), "barrier_wait", 64, 3, False)
     with pytest.raises(ProtocolError, match="participant count mismatch"):
-        o.barrier_wait(("core", 0, 1), 64, 4)
+        issue(("core", 0, 1), "barrier_wait", 64, 4, False)
 
 
 def test_ideal_semaphore_counts_and_parks():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     a, b, c = ("core", 0, 0), ("core", 0, 1), ("core", 1, 0)
-    assert o.sem_wait(a, 64, 2)
-    assert o.sem_wait(b, 64, 2)
-    assert not o.sem_wait(c, 64, 2)  # resources exhausted
-    o.sem_post(a, 64)
+    assert issue(a, "sem_wait", 64, 2)
+    assert issue(b, "sem_wait", 64, 2)
+    assert not issue(c, "sem_wait", 64, 2)  # resources exhausted
+    issue(a, "sem_post", 64)
     assert wakes == [(c, "sem_wait", 64)]
     with pytest.raises(ProtocolError, match="re-declared"):
-        o.sem_wait(a, 64, 3)
+        issue(a, "sem_wait", 64, 3)
 
 
 def test_ideal_cond_wait_releases_lock_and_signal_reacquires():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     w, s = ("core", 0, 0), ("core", 0, 1)
-    assert o.lock_acquire(w, 128)
-    o.cond_wait(w, 64, 128)          # parks w, frees the lock
-    assert o.lock_acquire(s, 128)    # signaler takes it
-    o.cond_signal(s, 64)             # w must wait for the lock
+    assert issue(w, "lock_acquire", 128)
+    issue(w, "cond_wait", 64, 128)            # parks w, frees the lock
+    assert issue(s, "lock_acquire", 128)      # signaler takes it
+    issue(s, "cond_signal", 64)               # w must wait for the lock
     assert wakes == []
-    o.lock_release(s, 128)           # handoff wakes w holding the lock
+    issue(s, "lock_release", 128)             # handoff wakes w holding the lock
     assert wakes == [(w, "cond_wait", 64)]
-    assert_owns(o, w, s, 128)
+    assert_owns(issue, w, s, 128)
 
 
 def test_ideal_cond_signal_on_free_lock_wakes_immediately():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     w, s = ("core", 0, 0), ("core", 0, 1)
-    o.lock_acquire(w, 128)
-    o.cond_wait(w, 64, 128)
-    o.cond_signal(s, 64)
+    issue(w, "lock_acquire", 128)
+    issue(w, "cond_wait", 64, 128)
+    issue(s, "cond_signal", 64)
     assert wakes == [(w, "cond_wait", 64)]
-    assert_owns(o, w, s, 128)
+    assert_owns(issue, w, s, 128)
 
 
 def test_ideal_lost_signal_is_absorbed():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     s = ("core", 0, 0)
-    o.cond_signal(s, 64)
-    o.cond_broadcast(s, 64)
+    issue(s, "cond_signal", 64)
+    issue(s, "cond_broadcast", 64)
     assert wakes == []
 
 
 def test_ideal_broadcast_wakes_all():
-    o, wakes = oracle_with_log()
+    issue, wakes = oracle_with_log()
     cores = [("core", 0, i) for i in range(3)]
     for core in cores:
-        o.lock_acquire(core, 128)
+        issue(core, "lock_acquire", 128)
         if core is cores[0]:
-            o.cond_wait(core, 64, 128)
+            issue(core, "cond_wait", 64, 128)
     # cores[1] holds the lock now, cores[2] queues on it
-    o.cond_wait(cores[1], 64, 128)   # lock hands to cores[2]
-    o.lock_release(cores[2], 128)
+    issue(cores[1], "cond_wait", 64, 128)     # lock hands to cores[2]
+    issue(cores[2], "lock_release", 128)
     wakes.clear()
-    o.cond_broadcast(cores[2], 64)
+    issue(cores[2], "cond_broadcast", 64)
     assert wakes == [(cores[0], "cond_wait", 64)]  # first waiter got the free lock
-    assert_owns(o, cores[0], cores[1], 128)
+    assert_owns(issue, cores[0], cores[1], 128)
     # second resumed on handoff
     assert wakes == [(cores[0], "cond_wait", 64), (cores[1], "cond_wait", 64)]
-    assert_owns(o, cores[1], cores[2], 128)
+    assert_owns(issue, cores[1], cores[2], 128)
 
 
 # -- ideal scheme end-to-end ----------------------------------------------------

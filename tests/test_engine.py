@@ -6,7 +6,7 @@ from ndpsync.errors import ProtocolError
 from ndpsync.messages import (ACQUIRES, ACTION, GRANT, LEVEL, LOCAL, OVERFLOW, POST, Message,
                               Opcode, pack_core)
 from ndpsync.sim import Simulation
-from ndpsync.topology import SCHEMES, SystemConfig
+from ndpsync.topology import SCHEMES, SystemConfig, master_se_of
 from ndpsync.verifier import verify_trace
 from ndpsync.workloads import WORKLOAD_NAMES, make_workload
 from script_workload import Script
@@ -177,6 +177,18 @@ def sent(out, op):
 
 def table_events(out):
     return [(kind, addr) for kind, addr in out.accesses if kind in ("st_reserve", "st_release")]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mastership_is_master_se_of_on_both_sides_of_each_unit_boundary(scheme):
+    cfg = SystemConfig(num_units=3, cores_per_unit=3, scheme=scheme)
+    mem = cfg.unit_mem_bytes
+    addrs = [0, cfg.total_mem_bytes - 1] + [a for u in range(1, cfg.num_units)
+                                            for a in (u * mem - 1, u * mem)]
+    for unit in cfg.coord_units or (0,):  # ideal's one coordinator is unit 0's
+        coord = Coordinator(cfg, unit)
+        for addr in addrs:
+            assert coord.is_master_for(addr) == (master_se_of(cfg, addr) == unit), (unit, addr)
 
 
 def test_non_master_lock_asks_once_and_grant_goes_to_lowest_local_core():

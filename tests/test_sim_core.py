@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ndpsync.engine as engine_module
 import ndpsync.sim as sim_module
 from ndpsync.baselines import IdealOracle
 from ndpsync.errors import ConfigError, ProtocolError, SimulationDeadlock
@@ -12,7 +13,7 @@ from ndpsync.sim import (COMPUTE, CORE_CYCLE_PS, DRAM_PS, MEM, MSG, SE_SERVICE_P
                          EnergyModel, LatencyModel, Network, Simulation, Stats)
 from ndpsync.topology import SystemConfig
 from ndpsync.verifier import verify_trace
-from ndpsync.workloads import make_workload
+from ndpsync.workloads import WORKLOAD_NAMES, make_workload
 from script_workload import Script
 
 
@@ -575,11 +576,12 @@ def test_a_step_blocks_exactly_when_its_request_is_an_acquire():
 
 
 def test_oracle_wake_for_another_step_is_a_protocol_error():
-    # an ideal grant arrives as the coordinator's grant message, like any other
+    # an ideal grant arrives as the coordinator's grant message, like any other,
+    # from no source
     sim = tiny_sim(scheme="ideal", steps={0: [("lock_acquire", 64)]})
     core = ("core", 0, 0)
     sim._at[core].blocked = ("sem_wait", 64, 0)
-    sim._oracle_wake(core, Message(64, Opcode.LOCK_GRANT_LOCAL, 0, 0))
+    push(sim, 0, MSG, core, (Message(64, Opcode.LOCK_GRANT_LOCAL, 0, 0), None))
     *_, node, payload = heapq.heappop(sim._heap)
     with pytest.raises(ProtocolError) as err:
         sim._on_msg(node, payload, 0)
@@ -683,11 +685,29 @@ def test_simulation_follows_scheme_axes(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sync_address_outside_memory_rejected(scheme):
+    # a step's address and a cond wait's lock are checked as the step issues
     cfg = SystemConfig(num_units=2, cores_per_unit=3, scheme=scheme)
     lock = 2 * cfg.unit_mem_bytes + 64
-    sim = Simulation(cfg, Script(cfg, {0: [("lock_acquire", lock), ("lock_release", lock)]}))
-    with pytest.raises(ConfigError, match="outside system memory"):
-        sim.run()
+    for steps in ([("lock_acquire", lock), ("lock_release", lock)], [("cond_wait", 64, lock)]):
+        sim = Simulation(cfg, Script(cfg, {0: steps}))
+        with pytest.raises(ConfigError, match="outside system memory"):
+            sim.run()
+
+
+def refuse_mastership(_cfg, addr):
+    raise AssertionError(f"master_se_of({addr:#x}) asked")
+
+
+@pytest.mark.parametrize("scheme", ("ideal", "central"))
+def test_one_master_schemes_never_ask_mastership(scheme, monkeypatch):
+    # one coordinator masters every address: nothing routes by address, and
+    # the address check at issue calls master_se_of only to raise
+    monkeypatch.setattr(engine_module, "master_se_of", refuse_mastership)
+    monkeypatch.setattr(sim_module, "master_se_of", refuse_mastership)
+    cfg = SystemConfig(num_units=2, cores_per_unit=4, scheme=scheme)
+    for name in WORKLOAD_NAMES:
+        stats = Simulation(cfg, make_workload(cfg, name, seed=3)).run()
+        assert stats.completed_ops > 0, name
 
 
 @pytest.mark.parametrize("where", ["below", "above"])
